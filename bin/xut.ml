@@ -1294,6 +1294,15 @@ type stream_row = {
   srow_digest : string;
 }
 
+(* The depth guard row of bench-stream: <a>^n<b/></a>^n under a
+   qualifier query, so the streamed run makes both SAX passes over an
+   n-deep stack.  A per-tag cost that grows with depth shows up here as
+   minutes. *)
+let deep_chain_depth = 200_000
+
+let deep_chain_query =
+  "transform copy $a := doc(\"d\") modify do insert <c/> into $a//a[b] return $a"
+
 let bench_stream_cmd =
   let measure_child ~mode ~doc_file ~query ~chunk_size ~row_path =
     (* The transformed bytes go to a file — the only place the whole
@@ -1368,13 +1377,24 @@ let bench_stream_cmd =
     in
     Printf.printf "bench-stream: factors=%s chunk=%d\nquery: %s\n\n" factors_str chunk_size
       query;
-    Printf.printf "%-14s %-8s %12s %12s %12s %10s %6s %5s\n" "mode" "factor" "file(B)"
+    Printf.printf "%-18s %-8s %12s %12s %12s %10s %6s %5s\n" "mode" "factor" "file(B)"
       "out(B)" "peak_rss(kB)" "wall(s)" "fused" "fb";
     let rows =
       List.concat_map
-        (fun factor ->
+        (fun doc ->
           let doc_file = Filename.temp_file "xut_stream_bench" ".xml" in
-          Xut_xmark.Generator.to_file ~seed:42L ~factor doc_file;
+          let factor, query, (stream_name, mat_name) =
+            match doc with
+            | `Xmark factor ->
+              Xut_xmark.Generator.to_file ~seed:42L ~factor doc_file;
+              (factor, query, ("fused", "materialized"))
+            | `Deep_chain ->
+              Out_channel.with_open_bin doc_file (fun oc ->
+                  for _ = 1 to deep_chain_depth do Out_channel.output_string oc "<a>" done;
+                  Out_channel.output_string oc "<b/>";
+                  for _ = 1 to deep_chain_depth do Out_channel.output_string oc "</a>" done);
+              (0., deep_chain_query, ("deep-stream", "deep-materialized"))
+          in
           let file_bytes = (Unix.stat doc_file).Unix.st_size in
           let per_mode mode =
             let row_path = Filename.temp_file "xut_stream_row" ".txt" in
@@ -1397,7 +1417,7 @@ let bench_stream_cmd =
               (fun out_bytes rss dt fused fb digest ->
                 let row =
                   {
-                    srow_mode = (match mode with `Fused -> "fused" | `Materialized -> "materialized");
+                    srow_mode = (match mode with `Fused -> stream_name | `Materialized -> mat_name);
                     srow_factor = factor;
                     srow_file_bytes = file_bytes;
                     srow_out_bytes = out_bytes;
@@ -1408,7 +1428,7 @@ let bench_stream_cmd =
                     srow_digest = digest;
                   }
                 in
-                Printf.printf "%-14s %-8g %12d %12d %12d %10.3f %6d %5d\n%!" row.srow_mode
+                Printf.printf "%-18s %-8g %12d %12d %12d %10.3f %6d %5d\n%!" row.srow_mode
                   factor file_bytes out_bytes rss dt fused fb;
                 row)
           in
@@ -1416,11 +1436,11 @@ let bench_stream_cmd =
           let mat = per_mode `Materialized in
           if fused.srow_digest <> mat.srow_digest then
             failwith
-              (Printf.sprintf
-                 "bench-stream: fused and materialized outputs differ at factor %g" factor);
+              (Printf.sprintf "bench-stream: %s and %s outputs differ at factor %g"
+                 stream_name mat_name factor);
           Sys.remove doc_file;
           [ fused; mat ])
-        factors
+        (List.map (fun f -> `Xmark f) factors @ [ `Deep_chain ])
     in
     let fused_rows = List.filter (fun r -> r.srow_mode = "fused") rows in
     let rss_of f = (List.find (fun r -> r.srow_factor = f) fused_rows).srow_rss_kb in
@@ -1442,6 +1462,8 @@ let bench_stream_cmd =
           Printf.fprintf oc "  \"chunk_size\": %d,\n" chunk_size;
           Printf.fprintf oc "  \"fused_rss_ratio\": %.3f,\n" ratio;
           Printf.fprintf oc "  \"doc_growth\": %.1f,\n" (fmax /. fmin);
+          Printf.fprintf oc "  \"deep_chain_depth\": %d,\n" deep_chain_depth;
+          Printf.fprintf oc "  \"deep_chain_query\": %S,\n" deep_chain_query;
           Printf.fprintf oc "  \"rows\": [\n";
           List.iteri
             (fun i r ->
@@ -1479,7 +1501,8 @@ let bench_stream_cmd =
   Cmd.v
     (Cmd.info "bench-stream"
        ~doc:"Peak-RSS benchmark of streamed ingest (TRANSFORM-STREAM) vs materialized \
-             serving over growing XMark documents, one forked child per measurement.")
+             serving over growing XMark documents, plus a 200k-deep chain row that guards \
+             linear-in-depth streaming, one forked child per measurement.")
     Term.(const run $ factors $ query_opt $ chunk_size $ json_opt)
 
 let main =

@@ -16,13 +16,59 @@ type run_stats = {
 
 (* Ld: truth of top-level qualifier [lq] at the element with document-order
    number [seq].  Both passes number start-tags identically, so (seq, lq)
-   is a faithful replacement for the paper's cursor ids. *)
+   is a faithful replacement for the paper's cursor ids.  Pass 1 appends
+   one int per entry, in end-tag order; [seal] sorts them once, and pass 2
+   finds an entry by binary search.  Ld stays proportional to the number
+   of qualifier checks (8 bytes each), and neither pass pays a hash, a
+   bucket walk and a cache miss per entry, which on deep documents grew
+   slower than linear. *)
 module Truth = struct
-  type t = (int * int, bool) Hashtbl.t
+  type t = {
+    nlq : int;
+    mutable keys : int array;  (* ((seq * nlq + lq) lsl 1) lor truth *)
+    mutable n : int;  (* keys in use; sorted and distinct after [seal] *)
+  }
 
-  let create () : t = Hashtbl.create 1024
-  let set t seq lq v = Hashtbl.replace t (seq, lq) v
-  let get t seq lq = try Hashtbl.find t (seq, lq) with Not_found -> false
+  let create nfa = { nlq = Lq.length (Selecting_nfa.lq nfa); keys = [||]; n = 0 }
+
+  let set t seq lq v =
+    if t.n = Array.length t.keys then begin
+      let grown = Array.make (max 1024 (2 * t.n)) 0 in
+      Array.blit t.keys 0 grown 0 t.n;
+      t.keys <- grown
+    end;
+    t.keys.(t.n) <- (((seq * t.nlq) + lq) lsl 1) lor Bool.to_int v;
+    t.n <- t.n + 1
+
+  (* Two NFA states sharing a qualifier record the same entry twice. *)
+  let seal t =
+    let a = Array.sub t.keys 0 t.n in
+    Array.sort Int.compare a;
+    let n = ref 0 in
+    Array.iter
+      (fun k ->
+        if !n = 0 || a.(!n - 1) <> k then begin
+          a.(!n) <- k;
+          incr n
+        end)
+      a;
+    t.keys <- a;
+    t.n <- !n
+
+  let get t seq lq =
+    let slot = (seq * t.nlq) + lq in
+    let rec search lo hi =
+      lo < hi
+      &&
+      let mid = (lo + hi) lsr 1 in
+      let k = t.keys.(mid) in
+      if k lsr 1 = slot then k land 1 = 1
+      else if k lsr 1 < slot then search (mid + 1) hi
+      else search lo mid
+    in
+    search 0 t.n
+
+  let entries t = t.n
 end
 
 (* ---------------- pass 1: SAX bottomUp ---------------- *)
@@ -48,7 +94,8 @@ let pass1 ~sskip nfa source truth =
   let schema_mode = ref false in
   let skipped_subtrees = ref 0 and skipped_elements = ref 0 in
   let seq = ref (-1) in
-  let max_depth = ref 0 in
+  (* [depth] is the length of [stack], kept alongside it *)
+  let depth = ref 0 and max_depth = ref 0 in
   let handle = function
     | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
     | Sax.Start_element (name, attrs) ->
@@ -90,7 +137,8 @@ let pass1 ~sskip nfa source truth =
             { states; all_seeds; candidates; csat = Array.make nlq false;
               text = Buffer.create 16; attrs; name; seq = !seq }
             :: !stack;
-          max_depth := max !max_depth (List.length !stack)
+          incr depth;
+          max_depth := max !max_depth !depth
         end
       end
     | Sax.Characters t -> (
@@ -106,6 +154,7 @@ let pass1 ~sskip nfa source truth =
         | [] -> ()
         | f :: rest ->
           stack := rest;
+          decr depth;
           if f.all_seeds <> [] then begin
             let sat =
               Lq.eval_at lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
@@ -152,7 +201,8 @@ let pass2 ~sskip nfa update source truth sink =
      below can match, so the events pass through with no transition run *)
   let verbatim = ref 0 in
   let verbatim_subtrees = ref 0 and verbatim_elements = ref 0 in
-  let max_depth = ref 0 in
+  (* [depth] is the length of [stack], kept alongside it *)
+  let depth = ref 0 and max_depth = ref 0 in
   let seq = ref (-1) in
   let produced_root = ref false in
   let handle = function
@@ -194,7 +244,8 @@ let pass2 ~sskip nfa update source truth sink =
         let push out_name =
           if at_root then produced_root := true;
           stack := { fstates; out_name; matched } :: !stack;
-          max_depth := max !max_depth (List.length !stack)
+          incr depth;
+          max_depth := max !max_depth !depth
         in
         match update, matched with
         | Transform_ast.Delete _, true ->
@@ -234,6 +285,7 @@ let pass2 ~sskip nfa update source truth sink =
         | [] -> ()
         | f :: rest ->
           stack := rest;
+          decr depth;
           (match update, f.matched with
           | Transform_ast.Insert (_, enew), true -> emit_node sink enew
           | _ -> ());
@@ -253,14 +305,15 @@ let check_ctx_qual nfa =
 
 let run ?(skip = fun _ -> false) nfa update ~source ~sink =
   check_ctx_qual nfa;
-  let truth = Truth.create () in
+  let truth = Truth.create nfa in
   let max_depth, elements, skipped_subtrees, skipped_elements =
     pass1 ~sskip:skip nfa source truth
   in
+  Truth.seal truth;
   let _ = pass2 ~sskip:skip nfa update source truth sink in
   {
     max_stack_depth = max_depth;
-    truth_entries = Hashtbl.length truth;
+    truth_entries = Truth.entries truth;
     elements_seen = elements;
     skipped_subtrees;
     skipped_elements;
@@ -279,7 +332,7 @@ let run_once ?(skip = fun _ -> false) nfa update ~source ~sink =
     raise
       (Unsupported_streaming
          "plan has qualifiers: one-pass streaming needs the bottom-up pass");
-  let truth = Truth.create () in
+  let truth = Truth.create nfa in
   let max_depth, elements, skipped_subtrees, skipped_elements =
     pass2 ~sskip:skip nfa update source truth sink
   in

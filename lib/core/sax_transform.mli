@@ -15,7 +15,8 @@ open Xut_automata
     as an output event stream.
 
     Memory is bounded by the document depth times the query size, plus
-    [Ld]. *)
+    [Ld] (8 bytes per qualifier check); time is linear in the input, up
+    to sorting [Ld] once between the passes. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),

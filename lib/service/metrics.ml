@@ -253,6 +253,8 @@ let frames_malformed m = Atomic.get m.frames_malformed
 let bytes_in m = Atomic.get m.bytes_in
 let bytes_out m = Atomic.get m.bytes_out
 
+let max_latency m = float_of_int (Atomic.get m.max_latency_ns) *. 1e-9
+
 (* Representative latency of bucket i: its geometric middle, 2^i*sqrt(2) us. *)
 let bucket_value i = float_of_int (1 lsl i) *. 1.4142 *. 1e-6
 
@@ -271,10 +273,9 @@ let quantile m q =
         end
       end
     done;
-    !answer
+    (* a bucket's midpoint can lie above every sample in it *)
+    Float.min !answer (max_latency m)
   end
-
-let max_latency m = float_of_int (Atomic.get m.max_latency_ns) *. 1e-9
 
 let reset m =
   Atomic.set m.requests 0;

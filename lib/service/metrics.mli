@@ -215,7 +215,8 @@ val latency_count : t -> int
 
 val quantile : t -> float -> float
 (** [quantile m 0.95] returns an estimate (in seconds) of the given
-    latency quantile, from the histogram buckets; [0.] when empty. *)
+    latency quantile, from the histogram buckets, clamped to
+    {!max_latency}; [0.] when empty. *)
 
 val max_latency : t -> float
 (** Largest latency observed, exactly (in seconds). *)

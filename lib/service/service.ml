@@ -253,19 +253,15 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
       ~checkp:(Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
       ?skip plan.Plan_cache.nfa update root events
   | Engine.Two_pass_sax ->
-    (* same front end as [Sax_transform.transform]: the SAX passes need
-       the NFA built from the raw path.  The skip-set is a property of
-       the query's semantics under the schema, so it holds for this NFA
-       too; the SAX engine consumes it by symbol and reports exact
-       skip counts in its run stats. *)
-    let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+    (* the SAX engine consumes the skip-set by symbol and reports exact
+       skip counts in its run stats *)
     let sym_skip =
       Option.map
         (fun p sym -> Xut_schema.Schema.skippable p.product sym)
         pruning
     in
     let stats =
-      Sax_transform.run ?skip:sym_skip nfa update
+      Sax_transform.run ?skip:sym_skip plan.Plan_cache.nfa update
         ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events
     in
     Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
@@ -708,9 +704,7 @@ let handle_ingest ~store ~cache ~metrics { emit; chunk_size } ~source ~query =
     | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
     | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
     let update = plan.Plan_cache.query.Transform_ast.update in
-    (* the SAX passes need the NFA built from the raw path, exactly as
-       in [run_plan_stream]'s SAX arm *)
-    let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+    let nfa = plan.Plan_cache.nfa in
     let streamed body =
       Metrics.stream_started metrics;
       let sink =

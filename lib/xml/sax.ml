@@ -23,7 +23,7 @@ let pp_event ppf = function
 
 let equal_event (a : event) (b : event) = a = b
 
-(* The parser pulls characters from a chunked {!Reader}, so its memory is
+(* The parser pulls runs from a chunked {!Reader}, so its memory is
    O(chunk + current token) — documents never need to fit in memory. *)
 
 let error r msg = raise (Parse_error { line = Reader.line r; col = Reader.col r; msg })
@@ -37,63 +37,62 @@ let expect_string r s = String.iter (fun c -> expect r c) s
 
 let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let skip_ws r =
-  while (not (Reader.eof r)) && is_ws (Reader.peek r) do
-    Reader.advance r
-  done
-
 let is_name_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
 
 let is_name_char c = is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+let is_digit c = c >= '0' && c <= '9'
+let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+(* The run classes: each scan stops at the first byte its token cannot
+   contain. *)
+let ws_run = Reader.cls ~stop:(fun c -> not (is_ws c))
+let name_run = Reader.cls ~stop:(fun c -> not (is_name_char c))
+let dec_run = Reader.cls ~stop:(fun c -> not (is_digit c))
+let hex_run = Reader.cls ~stop:(fun c -> not (is_hex_digit c))
+let text_run = Reader.cls ~stop:(fun c -> c = '<' || c = '&')
+let dq_run = Reader.cls ~stop:(fun c -> c = '"' || c = '&')
+let sq_run = Reader.cls ~stop:(fun c -> c = '\'' || c = '&')
+let gt_run = Reader.cls ~stop:(fun c -> c = '>')
+
+let skip_ws r = Reader.skip r ws_run
+
 let read_name r =
   if not (is_name_start (Reader.peek r)) then error r "expected a name";
-  let buf = Buffer.create 16 in
-  while (not (Reader.eof r)) && is_name_char (Reader.peek r) do
-    Buffer.add_char buf (Reader.next r)
-  done;
-  Buffer.contents buf
+  Reader.take r name_run
 
-(* Entity and character references; the '&' has been consumed. *)
-let read_reference_body r =
+(* XML 1.0's Char production: what a character reference may denote. *)
+let is_xml_char code =
+  code = 0x9 || code = 0xA || code = 0xD
+  || (code >= 0x20 && code <= 0xD7FF)
+  || (code >= 0xE000 && code <= 0xFFFD)
+  || (code >= 0x10000 && code <= 0x10FFFF)
+
+let utf8_encode code =
+  let b = Buffer.create 4 in
+  Buffer.add_utf_8_uchar b (Uchar.of_int code);
+  Buffer.contents b
+
+(* Entity and character references, including the '&'.  Errors point at
+   the '&', wherever the reference turns out to be bad. *)
+let read_reference r =
+  let line = Reader.line r and col = Reader.col r in
+  let bad msg = raise (Parse_error { line; col; msg }) in
+  expect r '&';
   if Reader.peek r = '#' then begin
     Reader.advance r;
     let hex = Reader.peek r = 'x' in
     if hex then Reader.advance r;
-    let digits = Buffer.create 8 in
-    let ok c =
-      if hex then
-        (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-      else c >= '0' && c <= '9'
-    in
-    while (not (Reader.eof r)) && ok (Reader.peek r) do
-      Buffer.add_char digits (Reader.next r)
-    done;
-    if Buffer.length digits = 0 then error r "empty character reference";
+    let digits = Reader.take r (if hex then hex_run else dec_run) in
+    if digits = "" then bad "empty character reference";
     expect r ';';
-    let code = int_of_string ((if hex then "0x" else "") ^ Buffer.contents digits) in
-    if code < 0x80 then String.make 1 (Char.chr code)
-    else begin
-      (* UTF-8 encode *)
-      let b = Buffer.create 4 in
-      if code < 0x800 then begin
-        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else if code < 0x10000 then begin
-        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end;
-      Buffer.contents b
-    end
+    match int_of_string_opt ((if hex then "0x" else "") ^ digits) with
+    | Some code when is_xml_char code -> utf8_encode code
+    | _ ->
+      bad
+        (Printf.sprintf "character reference &#%s%s; is not an XML character"
+           (if hex then "x" else "") digits)
   end
   else begin
     let name = read_name r in
@@ -104,47 +103,47 @@ let read_reference_body r =
     | "gt" -> ">"
     | "quot" -> "\""
     | "apos" -> "'"
-    | other -> error r (Printf.sprintf "unknown entity &%s;" other)
+    | other -> bad (Printf.sprintf "unknown entity &%s;" other)
   end
-
-let read_reference r =
-  expect r '&';
-  read_reference_body r
 
 let read_attr_value r =
   let quote = Reader.peek r in
   if quote <> '"' && quote <> '\'' then error r "expected attribute value";
   Reader.advance r;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    if Reader.eof r then error r "unterminated attribute value"
-    else if Reader.peek r = quote then Reader.advance r
-    else if Reader.peek r = '&' then begin
-      Buffer.add_string buf (read_reference r);
-      loop ()
-    end
-    else begin
-      Buffer.add_char buf (Reader.next r);
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
+  let run = if quote = '"' then dq_run else sq_run in
+  let first = Reader.take r run in
+  if Reader.peek r = quote then begin
+    Reader.advance r;
+    first
+  end
+  else begin
+    let buf = Buffer.create (String.length first + 16) in
+    Buffer.add_string buf first;
+    let rec loop () =
+      if Reader.eof r then error r "unterminated attribute value"
+      else if Reader.peek r = quote then Reader.advance r
+      else begin
+        (* the run stopped at '&' *)
+        Buffer.add_string buf (read_reference r);
+        Reader.add r run buf;
+        loop ()
+      end
+    in
+    loop ();
+    Buffer.contents buf
+  end
 
-let read_attributes r =
-  let rec loop acc =
+let rec read_attributes r acc =
+  skip_ws r;
+  if is_name_start (Reader.peek r) then begin
+    let k = read_name r in
     skip_ws r;
-    if is_name_start (Reader.peek r) then begin
-      let k = read_name r in
-      skip_ws r;
-      expect r '=';
-      skip_ws r;
-      let v = read_attr_value r in
-      loop ((k, v) :: acc)
-    end
-    else List.rev acc
-  in
-  loop []
+    expect r '=';
+    skip_ws r;
+    let v = read_attr_value r in
+    read_attributes r ((k, v) :: acc)
+  end
+  else List.rev acc
 
 (* Does the buffer end with [term]? (Buffer.nth is O(1).) *)
 let buffer_ends_with buf term =
@@ -155,11 +154,14 @@ let buffer_ends_with buf term =
   let rec go i = i >= k || (Buffer.nth buf (n - k + i) = term.[i] && go (i + 1)) in
   go 0
 
-(* Read characters until the literal [term] appears, consuming it; the
-   content before [term] is returned. *)
+(* Read until the literal [term] appears, consuming it; the content
+   before [term] is returned.  Every terminator used here ends in '>',
+   so one run scan reaches each candidate end and the suffix is checked
+   there, not after every byte. *)
 let read_until r term =
   let buf = Buffer.create 32 in
   let rec loop () =
+    Reader.add r gt_run buf;
     if Reader.eof r then error r ("unterminated: expected " ^ term)
     else begin
       Buffer.add_char buf (Reader.next r);
@@ -186,30 +188,28 @@ let skip_doctype r =
   done
 
 let is_all_ws s =
-  let ok = ref true in
-  String.iter (fun c -> if not (is_ws c) then ok := false) s;
-  !ok
+  let rec go i = i >= String.length s || (is_ws (String.unsafe_get s i) && go (i + 1)) in
+  go 0
 
 let parse_events ~keep_ws r handler =
   handler Start_document;
   let stack = ref [] in
   let buf = Buffer.create 64 in
-  let flush_text () =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    if s <> "" && (keep_ws || not (is_all_ws s)) then
+  let emit_text s =
+    if keep_ws || not (is_all_ws s) then
       if !stack <> [] then handler (Characters s)
       else if not (is_all_ws s) then error r "text outside the document element"
   in
-  let rec loop () =
-    if Reader.eof r then begin
-      flush_text ();
-      (match !stack with
-      | top :: _ -> error r ("unclosed element <" ^ top ^ ">")
-      | [] -> ());
-      handler End_document
+  let flush_text () =
+    if Buffer.length buf > 0 then begin
+      let s = Buffer.contents buf in
+      Buffer.clear buf;
+      emit_text s
     end
-    else if Reader.peek r = '<' then begin
+  in
+  let rec loop () =
+    match Reader.peek r with
+    | '<' ->
       flush_text ();
       Reader.advance r;
       (match Reader.peek r with
@@ -250,10 +250,7 @@ let parse_events ~keep_ws r handler =
         | [] -> error r (Printf.sprintf "closing tag </%s> with no open element" name))
       | _ ->
         let name = read_name r in
-        (* warm the global symbol table: every consumer that runs an
-           automaton over these events interns again and hits *)
-        ignore (Sym.intern name : Sym.t);
-        let attrs = read_attributes r in
+        let attrs = read_attributes r [] in
         skip_ws r;
         if Reader.peek r = '/' then begin
           Reader.advance r;
@@ -267,15 +264,24 @@ let parse_events ~keep_ws r handler =
           handler (Start_element (name, attrs))
         end);
       loop ()
-    end
-    else if Reader.peek r = '&' then begin
+    | '&' ->
       Buffer.add_string buf (read_reference r);
       loop ()
-    end
-    else begin
-      Buffer.add_char buf (Reader.next r);
+    | _ when Reader.eof r ->
+      flush_text ();
+      (match !stack with
+      | top :: _ -> error r ("unclosed element <" ^ top ^ ">")
+      | [] -> ());
+      handler End_document
+    | _ ->
+      (* a run that no reference continues is emitted as cut from the
+         chunk, not copied through [buf] *)
+      if Buffer.length buf = 0 then begin
+        let s = Reader.take r text_run in
+        if Reader.peek r = '&' then Buffer.add_string buf s else emit_text s
+      end
+      else Reader.add r text_run buf;
       loop ()
-    end
   in
   loop ()
 

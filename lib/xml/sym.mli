@@ -2,9 +2,10 @@
 
     Maps element names to dense integer symbols, process-wide, so the
     automaton hot paths dispatch transitions on an [int] compare instead
-    of [String.equal].  Interning happens once per open tag at parse /
-    build time ({!Node.element} and the SAX parser intern; everything
-    downstream reuses the symbol).
+    of [String.equal].  Interning happens where an automaton meets an
+    open tag: at tree build time ({!Node.element}, whose symbol everything
+    downstream reuses) and per start event in the streaming transforms.
+    The SAX parser itself does not intern.
 
     Domain-safe: lookups are lock-free reads of an immutable snapshot
     published through an [Atomic]; insertions (first sighting of a name)

@@ -149,6 +149,51 @@ let test_truncated_file_rejected () =
       | exception Sax.Parse_error _ -> ()
       | _ -> Alcotest.fail "streaming parse should fail")
 
+(* The streaming passes over an <a>^n<b/></a>^n chain: the stack stat
+   is exact, and the cost is linear in depth (doubling the chain may at
+   most ~2.5x the time; a per-tag cost proportional to depth makes it
+   ~4x). *)
+let chain n =
+  let rep s = String.concat "" (List.init n (fun _ -> s)) in
+  rep "<a>" ^ "<b/>" ^ rep "</a>"
+
+let test_deep_chain_streaming () =
+  let prepare query n =
+    let update = Transform_parser.parse_update query in
+    (Xut_automata.Selecting_nfa.of_path (Transform_ast.path update), update, chain n)
+  in
+  let two_pass = "insert <c/> into $a//a[b]" and fused = "delete $a//b" in
+  let run_two_pass (nfa, update, text) =
+    Sax_transform.run nfa update ~source:(Sax.parse_string text) ~sink:ignore
+  in
+  let stats = run_two_pass (prepare two_pass 10_000) in
+  Alcotest.(check int) "run: every a plus b is on the stack" 10_001
+    stats.Sax_transform.max_stack_depth;
+  Alcotest.(check int) "run: elements" 10_001 stats.Sax_transform.elements_seen;
+  Alcotest.(check int) "run: one Ld entry per a" 10_000 stats.Sax_transform.truth_entries;
+  let nfa, update, text = prepare fused 10_000 in
+  let stats = Sax_transform.run_once nfa update ~source:(Sax.parse_string text) ~sink:ignore in
+  Alcotest.(check int) "run_once: the deleted b is never pushed" 10_000
+    stats.Sax_transform.max_stack_depth;
+  (* best of 3 each, in CPU time, the two sizes interleaved so a slow
+     spell on a shared host hits both.  No forced collection between
+     runs: that shrinks the heap and bills the regrowth to whichever
+     run needs more of it. *)
+  let time input =
+    let t0 = Sys.time () in
+    ignore (run_two_pass input);
+    Sys.time () -. t0
+  in
+  let small = prepare two_pass 20_000 and large = prepare two_pass 40_000 in
+  let t20 = ref infinity and t40 = ref infinity in
+  for _ = 1 to 3 do
+    t20 := Float.min !t20 (time small);
+    t40 := Float.min !t40 (time large)
+  done;
+  let t20 = !t20 and t40 = !t40 in
+  if t40 > 2.5 *. t20 then
+    Alcotest.failf "doubling the depth took %.1fx the time (%.3fs -> %.3fs)" (t40 /. t20) t20 t40
+
 let suite =
   [ Alcotest.test_case "nested delete" `Quick test_nested_delete;
     Alcotest.test_case "nested rename" `Quick test_nested_rename;
@@ -164,4 +209,5 @@ let suite =
     Alcotest.test_case "2000-deep nesting" `Quick test_deep_nesting_stack_safety;
     Alcotest.test_case "streaming rejects ctx quals" `Quick test_two_pass_sax_rejects_ctx_quals;
     Alcotest.test_case "invalid queries rejected" `Quick test_invalid_queries_rejected;
-    Alcotest.test_case "truncated file rejected" `Quick test_truncated_file_rejected ]
+    Alcotest.test_case "truncated file rejected" `Quick test_truncated_file_rejected;
+    Alcotest.test_case "deep chain: exact stack, linear time" `Quick test_deep_chain_streaming ]

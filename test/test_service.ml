@@ -649,6 +649,48 @@ let test_transform_ingest () =
                 Alcotest.(check bool) "chunks flowed before the parse error" true (!got > 0)
               | _ -> Alcotest.fail "mid-parse failure must end in an error")))
 
+(* Character references outside XML's Char production are typed parse
+   errors at the reference, on LOAD and on both streamed-ingest tiers
+   (fused and two-pass), and the worker survives them. *)
+let test_bad_char_refs_typed () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  with_service (fun svc ->
+      List.iter
+        (fun r ->
+          let path = Filename.temp_file "xut_service_ref" ".xml" in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc ("<site>" ^ r ^ "<price>1</price></site>"));
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              (match Service.call svc (Service.Load { name = "bad"; file = path; schema = None }) with
+              | Service.Error { code = Service.Bad_request; message } ->
+                Alcotest.(check bool) ("LOAD " ^ r ^ ": " ^ message) true (contains message "at 1:7")
+              | _ -> Alcotest.fail ("LOAD must reject " ^ r));
+              List.iter
+                (fun q ->
+                  match
+                    Service.transform_ingest svc ~source:(Service.From_file path) ~query:q ignore
+                  with
+                  | Service.Error { code = Service.Eval_error; message } ->
+                    Alcotest.(check bool)
+                      ("TRANSFORM-STREAM FILE " ^ r ^ ": " ^ message)
+                      true
+                      (contains message "parse error at 1:7")
+                  | _ -> Alcotest.fail ("TRANSFORM-STREAM FILE must reject " ^ r))
+                [ q_del_prices; q_del_adult_names ]))
+        [ "&#99999999999999999999999;"; "&#x110000;"; "&#0;"; "&#xD800;" ];
+      let m = Service.metrics svc in
+      Alcotest.(check int) "fused and two-pass tiers both ran" 4 (Metrics.streams_fused m);
+      Alcotest.(check int) "two-pass tier ran" 4 (Metrics.stream_fallbacks m);
+      match Service.call svc (Service.Load { name = "bad"; file = "/nonexistent"; schema = None }) with
+      | Service.Error { code = Service.Bad_request; _ } -> ()
+      | _ -> Alcotest.fail "the worker must still answer")
+
 (* ---- stored views ---- *)
 
 (* Mirror of the service's result rendering, so expectations are
@@ -924,6 +966,15 @@ let test_metrics_histogram () =
   let p95 = Metrics.quantile m 0.95 in
   Alcotest.(check bool) "p95 in the slow bucket" true (p95 > 0.05 && p95 < 0.2);
   Alcotest.(check bool) "max is exact" true (abs_float (Metrics.max_latency m -. 0.1) < 1e-6);
+  (* every sample sits low in its bucket (70 ms in [65.5, 131) ms, whose
+     midpoint is 92.7 ms): the quantiles must still not pass the max *)
+  let m' = Metrics.create () in
+  for _ = 1 to 20 do
+    Metrics.record_latency m' 0.07
+  done;
+  let p50 = Metrics.quantile m' 0.50 and p95 = Metrics.quantile m' 0.95 in
+  let mx = Metrics.max_latency m' in
+  Alcotest.(check bool) "p50 <= p95 <= max" true (p50 <= p95 && p95 <= mx);
   Metrics.queue_enter m;
   Metrics.queue_enter m;
   Metrics.queue_leave m;
@@ -958,6 +1009,8 @@ let suite =
     Alcotest.test_case "service: streamed transform" `Quick test_transform_stream;
     Alcotest.test_case "service: streamed ingest = materialized" `Quick
       test_transform_ingest;
+    Alcotest.test_case "service: bad character references are typed errors" `Quick
+      test_bad_char_refs_typed;
     Alcotest.test_case "pool: parallel fan-out" `Quick test_pool_parallel_sum;
     Alcotest.test_case "pool: failure isolation" `Quick test_pool_failure_isolation;
     Alcotest.test_case "metrics: histogram and queue depth" `Quick test_metrics_histogram;
