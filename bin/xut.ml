@@ -967,24 +967,24 @@ let bench_serve_cmd =
       in
       let gc1 = Gc.stat () in
       let m = Xut_service.Service.metrics svc in
-      let p95 = Xut_service.Metrics.quantile m 0.95 *. 1e3 in
-      let hits = Xut_service.Metrics.cache_hits m in
-      let errors = Xut_service.Metrics.errors m in
-      let commits = Xut_service.Metrics.commits m in
-      let conflicts = Xut_service.Metrics.commit_conflicts m in
-      let noops = Xut_service.Metrics.commit_noops m in
+      let p95 = Xut_service.Metrics.(quantile m latency 0.95) *. 1e3 in
+      let hits = Xut_service.Metrics.(get m cache_hits) in
+      let errors = Xut_service.Metrics.(get m errors) in
+      let commits = Xut_service.Metrics.(get m commits) in
+      let conflicts = Xut_service.Metrics.(get m commit_conflicts) in
+      let noops = Xut_service.Metrics.(get m commit_noops) in
       let gen_delta = max_gen () - gen0 in
-      let repairs = Xut_service.Metrics.annotation_repairs m in
-      let fallbacks = Xut_service.Metrics.repair_fallbacks m in
-      let recomputed = Xut_service.Metrics.repair_recomputed_nodes m in
-      let reused = Xut_service.Metrics.repair_reused_nodes m in
-      let view_hits = Xut_service.Metrics.view_hits m in
-      let composed = Xut_service.Metrics.composed_plans m in
-      let view_inval = Xut_service.Metrics.view_invalidations m in
-      let compose_fb = Xut_service.Metrics.compose_fallbacks m in
-      let skipped_sub = Xut_service.Metrics.skipped_subtrees m in
-      let skipped_nodes = Xut_service.Metrics.skipped_nodes m in
-      let products = Xut_service.Metrics.schema_products m in
+      let repairs = Xut_service.Metrics.(get m annotation_repairs) in
+      let fallbacks = Xut_service.Metrics.(get m repair_fallbacks) in
+      let recomputed = Xut_service.Metrics.(get m repair_recomputed_nodes) in
+      let reused = Xut_service.Metrics.(get m repair_reused_nodes) in
+      let view_hits = Xut_service.Metrics.(get m view_hits) in
+      let composed = Xut_service.Metrics.(get m composed_plans) in
+      let view_inval = Xut_service.Metrics.(get m view_invalidations) in
+      let compose_fb = Xut_service.Metrics.(get m compose_fallbacks) in
+      let skipped_sub = Xut_service.Metrics.(get m skipped_subtrees) in
+      let skipped_nodes = Xut_service.Metrics.(get m skipped_nodes) in
+      let products = Xut_service.Metrics.(get m schema_products) in
       let cs = Xut_service.Service.cache_stats svc in
       Xut_service.Service.shutdown svc;
       if errors > 0 then failwith (Printf.sprintf "bench-serve: %d errors" errors);
@@ -1331,7 +1331,7 @@ let bench_stream_cmd =
         | Xut_service.Service.Ok _ -> ()
         | Xut_service.Service.Error { message; _ } -> failwith message);
         let m = Xut_service.Service.metrics svc in
-        (Xut_service.Metrics.streams_fused m, Xut_service.Metrics.stream_fallbacks m)
+        (Xut_service.Metrics.(get m streams_fused), Xut_service.Metrics.(get m stream_fallbacks))
       | `Materialized ->
         let svc = Xut_service.Service.create ~domains:1 () in
         (match

@@ -130,10 +130,10 @@ and render_payload = function
            | Stdlib.Error e -> "ERR " ^ e)
          rs)
 
-(* What a worker actually dequeues: the request, plus — for the
-   streaming result path — the consumer its chunks go to.  The stream
-   half never crosses the wire (transports decode their own stream
-   framing and supply [emit]); [request] stays pure data. *)
+(* What a worker dequeues: a request, or one of the two streamed
+   transforms with the consumer its chunks go to.  The stream half never
+   crosses the wire (transports decode their own stream framing and
+   supply [emit]); [request] stays pure data. *)
 type stream_params = { emit : string -> unit; chunk_size : int }
 
 (* Where a streamed-ingest transform reads from: a stored document, or
@@ -142,7 +142,7 @@ type stream_source = From_doc of string | From_file of string
 
 type job =
   | Plain_job of request
-  | Stream_job of request * stream_params
+  | Stream_job of { doc : string; engine : Engine.algo; query : string; params : stream_params }
   | Ingest_job of { source : stream_source; query : string; params : stream_params }
 
 type t = {
@@ -154,6 +154,33 @@ type t = {
 }
 
 let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
+
+(* ---------------- failures ----------------
+
+   Parsers, engines and the update machinery fail by raising.  Every job
+   runs under [guard], the one place an exception becomes a response: a
+   query front end's failure (wrapped by [front_end]) answers
+   [Query_parse_error], anything else [Eval_error]. *)
+
+exception Bad_query of exn
+
+let front_end f x = try f x with e -> raise (Bad_query e)
+
+let exn_message = function
+  | Failure msg
+  | Sys_error msg
+  | Transform_parser.Parse_error msg
+  | Xut_xquery.Xq_parser.Parse_error msg
+  | Xut_update.Apply.Invalid msg ->
+    msg
+  | Xut_xml.Sax.Parse_error { line; col; msg } ->
+    Printf.sprintf "parse error at %d:%d: %s" line col msg
+  | e -> Printexc.to_string e
+
+let guard f =
+  try f () with
+  | Bad_query e -> error Query_parse_error "%s" (exn_message e)
+  | e -> error Eval_error "%s" (exn_message e)
 
 (* ---------------- schema-aware static pruning ----------------
 
@@ -181,7 +208,7 @@ let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
     | None -> None
     | Some schema ->
       let product, built = Product_memo.get products schema nfa in
-      if built then Metrics.incr_schema_products metrics;
+      if built then Metrics.incr metrics Metrics.schema_products;
       if
         Xut_schema.Schema.skip_count product = 0
         && not (Xut_schema.Schema.statically_empty product)
@@ -198,7 +225,8 @@ let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
         in
         let skip e =
           if Xut_schema.Schema.skippable product (Xut_xml.Node.sym e) then begin
-            Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of e);
+            Metrics.incr metrics Metrics.skipped_subtrees;
+            Metrics.add metrics Metrics.skipped_nodes (size_of e);
             true
           end
           else false
@@ -213,91 +241,121 @@ let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
 let admit ~metrics (dinfo : Doc_store.info) pruning =
   match pruning with
   | Some p when Xut_schema.Schema.statically_empty p.product ->
-    Metrics.incr_statically_empty metrics;
+    Metrics.incr metrics Metrics.statically_empty_rejections;
     Stdlib.Error
       (error Statically_empty
          "query selects nothing under schema %S (NFA x schema product is empty)"
          (Option.value ~default:"?" dinfo.Doc_store.schema))
   | _ -> Stdlib.Ok ()
 
-(* Engines that consume the selecting NFA take the precompiled one from
-   the plan; TD-BU additionally reuses the memoized bottom-up annotation
-   of the stored document.  The others (Naive, snapshot copy, reference,
-   SAX) only need the parsed AST. *)
-let run_plan ?pruning (plan : Plan_cache.plan) engine root =
-  let update = plan.Plan_cache.query.Transform_ast.update in
-  let skip = Option.map (fun p -> p.skip) pruning in
-  match (engine : Engine.algo) with
-  | Engine.Gentop -> Top_down.run ?skip plan.Plan_cache.nfa update root
-  | Engine.Td_bu ->
-    let table = Plan_cache.annotation ?skip plan root in
-    Top_down.run
-      ~checkp:(Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
-      ?skip plan.Plan_cache.nfa update root
-  | other -> Engine.transform other update root
+(* ---------------- the request pipeline ----------------
 
-(* The zero-materialization counterpart of [run_plan]: the engines that
-   can emit the result as events drive the serializer sink directly (no
-   output tree, no monolithic string); the rest materialize their tree
-   and hand it to the sink whole, still getting chunking, the pooled
-   buffer and the escape fast path. *)
-let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink =
-  let update = plan.Plan_cache.query.Transform_ast.update in
-  let events = Xut_xml.Serialize.Sink.event sink in
-  let skip = Option.map (fun p -> p.skip) pruning in
-  match (engine : Engine.algo) with
-  | Engine.Gentop -> Top_down.stream ?skip plan.Plan_cache.nfa update root events
-  | Engine.Td_bu ->
-    let table = Plan_cache.annotation ?skip plan root in
-    Top_down.stream
-      ~checkp:(Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
-      ?skip plan.Plan_cache.nfa update root events
-  | Engine.Two_pass_sax ->
-    (* the SAX engine consumes the skip-set by symbol and reports exact
-       skip counts in its run stats *)
-    let sym_skip =
-      Option.map
-        (fun p sym -> Xut_schema.Schema.skippable p.product sym)
-        pruning
-    in
-    let stats =
-      Sax_transform.run ?skip:sym_skip plan.Plan_cache.nfa update
-        ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events
-    in
-    Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
-      ~nodes:stats.Sax_transform.skipped_elements
-  | other -> Xut_xml.Serialize.Sink.element sink (Engine.transform other update root)
+   resolve (snapshot, plan, pruning, admission) -> dispatch (the engine
+   pushes its answer as SAX events) -> consume (the events become a
+   [Tree], an [Element_count] or a chunked stream). *)
 
-let evaluate ~store ~cache ~metrics ~doc ~engine ~query =
+let compile ~cache ~metrics query =
+  let plan, outcome = front_end (Plan_cache.find_or_compile cache) query in
+  Metrics.incr metrics
+    (match outcome with
+    | Plan_cache.Hit -> Metrics.cache_hits
+    | Plan_cache.Miss -> Metrics.cache_misses);
+  plan
+
+type resolved = {
+  plan : Plan_cache.plan;
+  pruning : pruning option;
+  root : Xut_xml.Node.element;
+}
+
+let resolve ~store ~cache ~metrics ~doc ~query =
   match Doc_store.snapshot store doc with
   | None -> Stdlib.Error (error Unknown_document "no document %S (LOAD it first)" doc)
-  | Some (root, dinfo, sizes) -> begin
-    match Plan_cache.find_or_compile cache query with
-    | exception Transform_parser.Parse_error msg ->
-      Stdlib.Error (error Query_parse_error "%s" msg)
-    | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-    | plan, outcome -> begin
-      (match outcome with
-      | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-      | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-      let pruning =
-        pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-      in
-      match admit ~metrics dinfo pruning with
-      | Stdlib.Error e -> Stdlib.Error e
-      | Stdlib.Ok () ->
-        (match run_plan ?pruning plan engine root with
-        | out -> Stdlib.Ok out
-        | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-        | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e)))
-    end
-  end
+  | Some (root, dinfo, sizes) ->
+    let plan = compile ~cache ~metrics query in
+    let pruning = pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa in
+    Result.map (fun () -> { plan; pruning; root }) (admit ~metrics dinfo pruning)
+
+let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
+  Metrics.add metrics Metrics.skipped_subtrees stats.Sax_transform.skipped_subtrees;
+  Metrics.add metrics Metrics.skipped_nodes stats.Sax_transform.skipped_elements
+
+let sax_skip pruning = Option.map (fun p -> Xut_schema.Schema.skippable p.product) pruning
+
+(* The one engine dispatch: every engine pushes its answer into
+   [events].  GENTOP and TD-BU run the top-down emitter, TD-BU with the
+   annotation oracle built by [table] (none: direct qualifier checks, as
+   GENTOP); twoPassSAX replays the tree through both SAX passes, taking
+   the skip-set by symbol; the others materialize their tree and replay
+   it. *)
+let dispatch ~metrics ?pruning ?table nfa update engine root events =
+  let skip = Option.map (fun p -> p.skip) pruning in
+  match (engine : Engine.algo) with
+  | Engine.Gentop | Engine.Td_bu ->
+    let checkp =
+      match engine, table with
+      | Engine.Td_bu, Some table -> Some (Xut_automata.Annotator.checkp (table ()) nfa)
+      | _ -> None
+    in
+    Top_down.stream ?checkp ?skip nfa update root events
+  | Engine.Two_pass_sax ->
+    count_sax_skips ~metrics
+      (Sax_transform.run ?skip:(sax_skip pruning) nfa update
+         ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events)
+  | (Engine.Reference | Engine.Naive | Engine.Galax_update) as other ->
+    Xut_xml.Sax.events_of_tree (Engine.transform other update root) events
+
+(* How an answer leaves the dispatch: serialized whole into a [Tree],
+   counted into an [Element_count] (no output tree, no string), or
+   serialized in chunks to [emit]. *)
+let consume ~metrics consumer body =
+  let module Sink = Xut_xml.Serialize.Sink in
+  let into sink =
+    match body (Sink.event sink) with
+    | () -> Sink.close sink
+    | exception e ->
+      Sink.abort sink;
+      raise e
+  in
+  match consumer with
+  | `Count ->
+    let n = ref 0 in
+    body (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ());
+    Ok (Element_count !n)
+  | `Tree ->
+    (* default-size chunks keep the pooled buffer small; the reply is
+       their one concatenation *)
+    let chunks = ref [] in
+    ignore (into (Sink.create (fun c -> chunks := c :: !chunks)));
+    Ok (Tree (String.concat "" (List.rev !chunks)))
+  | `Stream { emit; chunk_size } ->
+    Metrics.incr metrics Metrics.streams;
+    let totals =
+      into
+        (Sink.create ~chunk_size (fun chunk ->
+             Metrics.incr metrics Metrics.stream_chunks;
+             Metrics.add metrics Metrics.stream_bytes (String.length chunk);
+             emit chunk))
+    in
+    Ok (Stream_done { bytes = totals.Sink.bytes; chunks = totals.Sink.chunks })
+
+let execute ~metrics { plan; pruning; root } engine consumer =
+  let skip = Option.map (fun p -> p.skip) pruning in
+  consume ~metrics consumer
+    (dispatch ~metrics ?pruning
+       ~table:(fun () -> Plan_cache.annotation ?skip plan root)
+       plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update engine root)
+
+let read_doc ~store ~cache ~metrics ~doc ~engine ~query consumer =
+  match resolve ~store ~cache ~metrics ~doc ~query with
+  | Stdlib.Error e -> e
+  | Stdlib.Ok r -> execute ~metrics r engine consumer
 
 (* ---------------- stored-view serving ---------------- *)
 
-(* Both the composed path and the materializing fallback render their
-   answer through this, so the two are byte-identical by construction:
-   one line per result item, serialized. *)
+(* Both the composed path and the materializing fallback answer through
+   these, so the two are byte-identical by construction: one serialized
+   line per result item, or the element count of the items. *)
 let render_value (v : Xut_xquery.Xq_value.t) =
   String.concat "\n"
     (List.map
@@ -317,20 +375,20 @@ let count_value (v : Xut_xquery.Xq_value.t) =
       | _ -> n + 1)
     0 v
 
-(* The fallback: materialize the chain level by level, then evaluate the
-   user query over the result.  Level 0 with TD-BU gets the memoized
-   annotation oracle; the outer levels run over freshly built trees
-   where no memo can help. *)
-let materialize_chain ~engine (levels : View_store.view list) root =
+(* The fallback: materialize the chain level by level through the engine
+   dispatch, then evaluate the user query over the result.  Level 0 with
+   TD-BU gets the view's memoized annotation table; the outer levels run
+   over freshly built trees where no memo can help. *)
+let materialize_chain ~metrics ~engine (levels : View_store.view list) root =
   let apply_level i t (v : View_store.view) =
-    match (engine : Engine.algo) with
-    | Engine.Td_bu when i = 0 ->
-      let table = Annotation_memo.find v.View_store.memo v.View_store.nfa t in
-      Top_down.run
-        ~checkp:(Xut_automata.Annotator.checkp table v.View_store.nfa)
-        v.View_store.nfa v.View_store.update t
-    | Engine.Gentop | Engine.Td_bu -> Top_down.run v.View_store.nfa v.View_store.update t
-    | other -> Engine.transform other v.View_store.update t
+    let b = Xut_xml.Dom.Builder.create () in
+    let table =
+      if i = 0 then Some (fun () -> Annotation_memo.find v.View_store.memo v.View_store.nfa t)
+      else None
+    in
+    dispatch ~metrics ?table v.View_store.nfa v.View_store.update engine t
+      (Xut_xml.Dom.Builder.handler b);
+    Xut_xml.Dom.Builder.result b
   in
   List.fold_left (fun (i, t) v -> (i + 1, apply_level i t v)) (0, root) levels |> snd
 
@@ -344,80 +402,71 @@ let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
         (error Unknown_document "no document %S (base of view %S; LOAD it first)"
            chain.View_store.base name)
     | Some (root, base_info, base_sizes) -> begin
-      match Xut_xquery.Xq_parser.parse_expr query with
-      | exception Xut_xquery.Xq_parser.Parse_error msg ->
-        Stdlib.Error (error Query_parse_error "%s" msg)
-      | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-      | expr -> begin
-        let levels = chain.View_store.levels in
-        let updates = List.map (fun (v : View_store.view) -> v.View_store.update) levels in
-        let fallback () =
-          Metrics.incr_compose_fallbacks metrics;
-          match materialize_chain ~engine levels root with
-          | materialized -> begin
-            match
-              Xut_xquery.Xq_eval.eval_expr
-                (Xut_xquery.Xq_eval.env ~context:materialized ())
-                expr
-            with
-            | v -> Stdlib.Ok v
-            | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-            | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
-          end
-          | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-          | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
+      let expr = front_end Xut_xquery.Xq_parser.parse_expr query in
+      let levels = chain.View_store.levels in
+      let fallback () =
+        Metrics.incr metrics Metrics.compose_fallbacks;
+        let materialized = materialize_chain ~metrics ~engine levels root in
+        Stdlib.Ok
+          (Xut_xquery.Xq_eval.eval_expr (Xut_xquery.Xq_eval.env ~context:materialized ()) expr)
+      in
+      match User_query.of_expr expr with
+      | Stdlib.Error _ ->
+        (* not in the restricted user fragment: the Compose method
+           does not apply, materialize instead *)
+        fallback ()
+      | Stdlib.Ok uq -> begin
+        let key = View_store.signature chain ^ "||" ^ query in
+        let deps =
+          chain.View_store.base
+          :: List.map (fun (v : View_store.view) -> v.View_store.name) levels
         in
-        match User_query.of_expr expr with
-        | Stdlib.Error _ ->
-          (* not in the restricted user fragment: the Compose method
-             does not apply, materialize instead *)
-          fallback ()
-        | Stdlib.Ok uq -> begin
-          let key = View_store.signature chain ^ "||" ^ query in
-          let deps =
-            chain.View_store.base
-            :: List.map (fun (v : View_store.view) -> v.View_store.name) levels
+        let updates = List.map (fun (v : View_store.view) -> v.View_store.update) levels in
+        match
+          Plan_cache.find_or_compose cache ~key ~deps (fun () ->
+              Composition.compose_stack updates uq)
+        with
+        | Stdlib.Error _, _ -> fallback ()
+        | Stdlib.Ok c, outcome ->
+          if outcome = Plan_cache.Miss then Metrics.incr metrics Metrics.composed_plans;
+          Metrics.incr metrics Metrics.view_hits;
+          (* the oracle answers level-0 qualifier checks over the base
+             tree from the view's memoized annotation table; when the
+             base document is schema-bound, the innermost update's own
+             NFA x schema product prunes the table build (the table is
+             identical either way — views are never rejected) *)
+          let oracle =
+            match (engine : Engine.algo), levels with
+            | Engine.Td_bu, (inner : View_store.view) :: _ ->
+              let skip =
+                Option.map
+                  (fun p -> p.skip)
+                  (pruning_for ~metrics base_info base_sizes inner.View_store.products
+                     inner.View_store.nfa)
+              in
+              let table =
+                Annotation_memo.find ?skip inner.View_store.memo inner.View_store.nfa root
+              in
+              Some (Xut_automata.Annotator.checkp table inner.View_store.nfa)
+            | _ -> None
           in
-          let composed, outcome =
-            Plan_cache.find_or_compose cache ~key ~deps (fun () ->
-                Composition.compose_stack updates uq)
-          in
-          match composed with
-          | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
-          | Stdlib.Error _ -> fallback ()
-          | Stdlib.Ok c -> begin
-            if outcome = Plan_cache.Miss then Metrics.incr_composed_plans metrics;
-            Metrics.incr_view_hits metrics;
-            (* the oracle answers level-0 qualifier checks over the base
-               tree from the view's memoized annotation table; when the
-               base document is schema-bound, the innermost update's own
-               NFA x schema product prunes the table build (the table is
-               identical either way — views are never rejected) *)
-            let oracle =
-              match (engine : Engine.algo), levels with
-              | Engine.Td_bu, (inner : View_store.view) :: _ ->
-                let skip =
-                  Option.map
-                    (fun p -> p.skip)
-                    (pruning_for ~metrics base_info base_sizes inner.View_store.products
-                       inner.View_store.nfa)
-                in
-                let table =
-                  Annotation_memo.find ?skip inner.View_store.memo inner.View_store.nfa
-                    root
-                in
-                Some (Xut_automata.Annotator.checkp table inner.View_store.nfa)
-              | _ -> None
-            in
-            match Composition.run_composed ?oracle c ~doc:root with
-            | v -> Stdlib.Ok v
-            | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-            | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
-          end
-        end
+          Stdlib.Ok (Composition.run_composed ?oracle c ~doc:root)
       end
     end
   end
+
+(* A Transform/Count: the request picks the consumer, the target picks
+   the path — a document runs the pipeline, a view composes. *)
+let read ~store ~cache ~views ~metrics consumer target engine query =
+  match target with
+  | Doc doc -> read_doc ~store ~cache ~metrics ~doc ~engine ~query consumer
+  | View name -> (
+    match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
+    | Stdlib.Error e -> e
+    | Stdlib.Ok v -> (
+      match consumer with
+      | `Tree -> Ok (Tree (render_value v))
+      | `Count -> Ok (Element_count (count_value v))))
 
 let handle_defview ~cache ~views ~metrics ~name ~query =
   match View_store.define views ~name ~source:query with
@@ -426,12 +475,13 @@ let handle_defview ~cache ~views ~metrics ~name ~query =
   | Stdlib.Error (`Cycle path) ->
     error View_compose_error "view cycle: %s" (String.concat " -> " path)
   | Stdlib.Ok (v, redefined) ->
-    Metrics.incr_view_defs metrics;
+    Metrics.incr metrics Metrics.view_defs;
     if redefined then
       (* the definition changed: every composed plan over a chain through
          this name is stale (the generation in the cache key already
          misses, this reclaims the entries and counts the churn) *)
-      Metrics.add_view_invalidations metrics (Plan_cache.invalidate_composed cache ~dep:name);
+      Metrics.add metrics Metrics.view_invalidations
+        (Plan_cache.invalidate_composed cache ~dep:name);
     Ok
       (View_defined
          {
@@ -444,7 +494,7 @@ let handle_defview ~cache ~views ~metrics ~name ~query =
 
 let handle_undefview ~cache ~views ~metrics ~name =
   if View_store.undefine views ~name then begin
-    Metrics.add_view_invalidations metrics (Plan_cache.invalidate_composed cache ~dep:name);
+    Metrics.add metrics Metrics.view_invalidations (Plan_cache.invalidate_composed cache ~dep:name);
     Ok (View_undefined { name })
   end
   else error Unknown_document "no view %S" name
@@ -464,88 +514,66 @@ let view_infos views =
    updates into a pending list with snapshot semantics
    ({!Xut_update.Apply}); APPLY stops at the dry-run report, COMMIT
    materializes and swaps under {!Doc_store.commit}. *)
-let parse_updates query =
-  match Transform_parser.parse_updates query with
-  | updates -> Stdlib.Ok updates
-  | exception Transform_parser.Parse_error msg ->
-    Stdlib.Error (error Query_parse_error "%s" msg)
-  | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
+let parse_updates = front_end Transform_parser.parse_updates
 
 let conflict_strings report =
   List.map Xut_update.Pending.render_conflict report.Xut_update.Apply.conflicts
 
 let handle_apply ~store ~doc ~query =
-  match parse_updates query with
-  | Stdlib.Error e -> e
-  | Stdlib.Ok updates -> begin
-    match Doc_store.find store doc with
-    | None -> error Unknown_document "no document %S (LOAD it first)" doc
-    | Some root -> begin
-      match Xut_update.Apply.stage updates root with
-      | report, _ ->
-        Ok
-          (Applied
-             {
-               doc;
-               primitives = report.Xut_update.Apply.primitives;
-               collapsed = report.Xut_update.Apply.collapsed;
-               conflicts = conflict_strings report;
-             })
-      | exception e -> error Eval_error "%s" (Printexc.to_string e)
-    end
-  end
+  let updates = parse_updates query in
+  match Doc_store.find store doc with
+  | None -> error Unknown_document "no document %S (LOAD it first)" doc
+  | Some root ->
+    let report, _ = Xut_update.Apply.stage updates root in
+    Ok
+      (Applied
+         {
+           doc;
+           primitives = report.Xut_update.Apply.primitives;
+           collapsed = report.Xut_update.Apply.collapsed;
+           conflicts = conflict_strings report;
+         })
 
 let handle_commit ~store ~metrics ~doc ~query =
-  match parse_updates query with
-  | Stdlib.Error e -> e
-  | Stdlib.Ok updates -> begin
-    let result =
-      Doc_store.commit store ~name:doc (fun _info root ->
-          match Xut_update.Apply.run updates root with
-          | Stdlib.Ok (report, materialized) ->
-            let swap =
-              Option.map
-                (fun (root', diff) -> (root', Some diff.Xut_update.Apply.spine))
-                materialized
-            in
-            Stdlib.Ok (swap, report)
-          | Stdlib.Error report -> Stdlib.Error (`Conflict report)
-          | exception Xut_update.Apply.Invalid msg -> Stdlib.Error (`Invalid msg)
-          | exception e -> Stdlib.Error (`Invalid (Printexc.to_string e)))
-    in
-    match result with
-    | Doc_store.Swapped (info, report) ->
-      Metrics.commit_recorded metrics ~primitives:report.Xut_update.Apply.primitives;
-      Ok
-        (Committed
-           {
-             doc;
-             primitives = report.Xut_update.Apply.primitives;
-             collapsed = report.Xut_update.Apply.collapsed;
-             elements = info.Doc_store.elements;
-             generation = info.Doc_store.generation;
-           })
-    | Doc_store.Unchanged (info, report) ->
-      Metrics.commit_noop metrics;
-      Ok
-        (Committed
-           {
-             doc;
-             primitives = report.Xut_update.Apply.primitives;
-             collapsed = report.Xut_update.Apply.collapsed;
-             elements = info.Doc_store.elements;
-             generation = info.Doc_store.generation;
-           })
-    | Doc_store.Rejected (`Conflict report) ->
-      Metrics.commit_conflict metrics;
-      error Conflict "%s" (String.concat "; " (conflict_strings report))
-    | Doc_store.Rejected (`Invalid msg) -> error Eval_error "%s" msg
-    | Doc_store.No_document -> error Unknown_document "no document %S (LOAD it first)" doc
-  end
+  let updates = parse_updates query in
+  let committed (info : Doc_store.info) report =
+    Ok
+      (Committed
+         {
+           doc;
+           primitives = report.Xut_update.Apply.primitives;
+           collapsed = report.Xut_update.Apply.collapsed;
+           elements = info.Doc_store.elements;
+           generation = info.Doc_store.generation;
+         })
+  in
+  let result =
+    Doc_store.commit store ~name:doc (fun _info root ->
+        match Xut_update.Apply.run updates root with
+        | Stdlib.Ok (report, materialized) ->
+          let swap =
+            Option.map
+              (fun (root', diff) -> (root', Some diff.Xut_update.Apply.spine))
+              materialized
+          in
+          Stdlib.Ok (swap, report)
+        | Stdlib.Error report -> Stdlib.Error report)
+  in
+  match result with
+  | Doc_store.Swapped (info, report) ->
+    Metrics.incr metrics Metrics.commits;
+    Metrics.observe metrics Metrics.pending_primitives report.Xut_update.Apply.primitives;
+    committed info report
+  | Doc_store.Unchanged (info, report) ->
+    Metrics.incr metrics Metrics.commit_noops;
+    committed info report
+  | Doc_store.Rejected report ->
+    Metrics.incr metrics Metrics.commit_conflicts;
+    error Conflict "%s" (String.concat "; " (conflict_strings report))
+  | Doc_store.No_document -> error Unknown_document "no document %S (LOAD it first)" doc
 
-(* [depth] guards against nested batches; every arm returns a
-   [response], so a worker can only die to a runtime error (and even
-   that the pool turns into an [Error] future). *)
+(* [depth] guards against nested batches; each batch item runs under its
+   own [guard], so one failing item answers an [Error] in its slot. *)
 let rec handle ~store ~cache ~views ~metrics ~depth = function
   | Load { name; file; schema } -> begin
     match Doc_store.load_file store ~name ?schema file with
@@ -564,27 +592,9 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
   | Unload { name } ->
     if Doc_store.evict store name then Ok (Doc_unloaded { name })
     else error Unknown_document "no document %S" name
-  | Transform { target = Doc doc; engine; query } -> begin
-    match evaluate ~store ~cache ~metrics ~doc ~engine ~query with
-    | Stdlib.Ok out -> Ok (Tree (Xut_xml.Serialize.element_to_string out))
-    | Stdlib.Error e -> e
-  end
-  | Transform { target = View name; engine; query } -> begin
-    match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
-    | Stdlib.Ok v -> Ok (Tree (render_value v))
-    | Stdlib.Error e -> e
-  end
-  | Count { target = Doc doc; engine; query } -> begin
-    match evaluate ~store ~cache ~metrics ~doc ~engine ~query with
-    | Stdlib.Ok out ->
-      Ok (Element_count (Xut_xml.Node.element_count (Xut_xml.Node.Element out)))
-    | Stdlib.Error e -> e
-  end
-  | Count { target = View name; engine; query } -> begin
-    match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
-    | Stdlib.Ok v -> Ok (Element_count (count_value v))
-    | Stdlib.Error e -> e
-  end
+  | Transform { target; engine; query } ->
+    read ~store ~cache ~views ~metrics `Tree target engine query
+  | Count { target; engine; query } -> read ~store ~cache ~views ~metrics `Count target engine query
   | Apply { doc; query } -> handle_apply ~store ~doc ~query
   | Commit { doc; query } -> handle_commit ~store ~metrics ~doc ~query
   | Defview { name; query } -> handle_defview ~cache ~views ~metrics ~name ~query
@@ -621,59 +631,9 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     else
       Ok
         (Batch_results
-           (List.map (handle ~store ~cache ~views ~metrics ~depth:(depth + 1)) reqs))
-
-(* Streaming evaluation: chunks go to [emit] as they fill; the response
-   carries only the totals.  An engine failure after chunks have gone
-   out is reported as an [Error] response — transports turn that into a
-   mid-stream error frame, in-process callers see partial output
-   followed by the error. *)
-let handle_streaming ~store ~cache ~metrics { emit; chunk_size } = function
-  | Transform { target = View _; _ } ->
-    error Bad_request "streaming a view target is not supported"
-  | Transform { target = Doc doc; engine; query } -> begin
-    match Doc_store.snapshot store doc with
-    | None -> error Unknown_document "no document %S (LOAD it first)" doc
-    | Some (root, dinfo, sizes) -> begin
-      match Plan_cache.find_or_compile cache query with
-      | exception Transform_parser.Parse_error msg -> error Query_parse_error "%s" msg
-      | exception e -> error Query_parse_error "%s" (Printexc.to_string e)
-      | plan, outcome -> begin
-        (match outcome with
-        | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-        | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-        let pruning =
-          pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-        in
-        match admit ~metrics dinfo pruning with
-        | Stdlib.Error e -> e
-        | Stdlib.Ok () -> begin
-          Metrics.stream_started metrics;
-          let sink =
-            Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-                Metrics.stream_chunk metrics (String.length chunk);
-                emit chunk)
-          in
-          match run_plan_stream ~metrics ?pruning plan engine root sink with
-          | () ->
-            let totals = Xut_xml.Serialize.Sink.close sink in
-            Ok
-              (Stream_done
-                 { bytes = totals.Xut_xml.Serialize.Sink.bytes;
-                   chunks = totals.Xut_xml.Serialize.Sink.chunks
-                 })
-          | exception e ->
-            Xut_xml.Serialize.Sink.abort sink;
-            (match e with
-            | Failure msg -> error Eval_error "%s" msg
-            | e -> error Eval_error "%s" (Printexc.to_string e))
-        end
-      end
-    end
-  end
-  | Load _ | Unload _ | Count _ | Apply _ | Commit _ | Defview _ | Undefview _ | Listviews
-  | Stats | Batch _ ->
-    error Bad_request "only TRANSFORM can stream"
+           (List.map
+              (fun r -> guard (fun () -> handle ~store ~cache ~views ~metrics ~depth:(depth + 1) r))
+              reqs))
 
 (* ---------------- streamed ingest ----------------
 
@@ -693,99 +653,43 @@ let handle_streaming ~store ~cache ~metrics { emit; chunk_size } = function
      two-pass SAX algorithm, reading the file twice (the paper's Fig. 14
      configuration) — a truth table but still no tree;
    - everything else (context qualifiers; qualifier-bearing plans over a
-     stored document, whose tree already exists) uses the tree and
-     streams only the output via [run_plan_stream]. *)
-let handle_ingest ~store ~cache ~metrics { emit; chunk_size } ~source ~query =
-  match Plan_cache.find_or_compile cache query with
-  | exception Transform_parser.Parse_error msg -> error Query_parse_error "%s" msg
-  | exception e -> error Query_parse_error "%s" (Printexc.to_string e)
-  | plan, outcome -> begin
-    (match outcome with
-    | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-    | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-    let update = plan.Plan_cache.query.Transform_ast.update in
-    let nfa = plan.Plan_cache.nfa in
-    let streamed body =
-      Metrics.stream_started metrics;
-      let sink =
-        Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-            Metrics.stream_chunk metrics (String.length chunk);
-            emit chunk)
-      in
-      match body sink with
-      | () ->
-        let totals = Xut_xml.Serialize.Sink.close sink in
-        Ok
-          (Stream_done
-             { bytes = totals.Xut_xml.Serialize.Sink.bytes;
-               chunks = totals.Xut_xml.Serialize.Sink.chunks
-             })
-      | exception e ->
-        Xut_xml.Serialize.Sink.abort sink;
-        (match e with
-        | Xut_xml.Sax.Parse_error { line; col; msg } ->
-          error Eval_error "parse error at %d:%d: %s" line col msg
-        | Sys_error msg -> error Eval_error "%s" msg
-        | Failure msg -> error Eval_error "%s" msg
-        | e -> error Eval_error "%s" (Printexc.to_string e))
-    in
-    let count_sax_skips (stats : Sax_transform.run_stats) =
-      Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
-        ~nodes:stats.Sax_transform.skipped_elements
-    in
-    match source with
-    | From_doc doc -> begin
-      match Doc_store.snapshot store doc with
-      | None -> error Unknown_document "no document %S (LOAD it first)" doc
-      | Some (root, dinfo, sizes) -> begin
-        let pruning =
-          pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-        in
-        match admit ~metrics dinfo pruning with
-        | Stdlib.Error e -> e
-        | Stdlib.Ok () ->
-          if Sax_transform.one_pass nfa then begin
-            Metrics.incr_streams_fused metrics;
-            let sym_skip =
-              Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
-            in
-            streamed (fun sink ->
-                count_sax_skips
-                  (Sax_transform.run_once ?skip:sym_skip nfa update
-                     ~source:(Xut_xml.Sax.events_of_tree root)
-                     ~sink:(Xut_xml.Serialize.Sink.event sink)))
-          end
-          else begin
-            Metrics.incr_stream_fallbacks metrics;
-            streamed (fun sink -> run_plan_stream ~metrics ?pruning plan Engine.Gentop root sink)
-          end
-      end
-    end
-    | From_file path ->
-      if not (Sys.file_exists path) then error Eval_error "no such file %S" path
-      else if Sax_transform.one_pass nfa then begin
-        Metrics.incr_streams_fused metrics;
-        streamed (fun sink ->
-            count_sax_skips
-              (Sax_transform.run_once nfa update
-                 ~source:(fun h -> Xut_xml.Sax.parse_file path h)
-                 ~sink:(Xut_xml.Serialize.Sink.event sink)))
-      end
+     stored document, whose tree already exists) takes the GENTOP arm of
+     the engine dispatch over the tree, streaming only the output. *)
+let ingest ~store ~cache ~metrics params ~source ~query =
+  let stream = `Stream params in
+  let fused ?skip nfa update source =
+    Metrics.incr metrics Metrics.streams_fused;
+    consume ~metrics stream (fun events ->
+        count_sax_skips ~metrics (Sax_transform.run_once ?skip nfa update ~source ~sink:events))
+  in
+  match source with
+  | From_doc doc -> begin
+    match resolve ~store ~cache ~metrics ~doc ~query with
+    | Stdlib.Error e -> e
+    | Stdlib.Ok ({ plan; pruning; root } as r) ->
+      if Sax_transform.one_pass plan.Plan_cache.nfa then
+        fused ?skip:(sax_skip pruning) plan.Plan_cache.nfa
+          plan.Plan_cache.query.Transform_ast.update (Xut_xml.Sax.events_of_tree root)
       else begin
-        Metrics.incr_stream_fallbacks metrics;
-        match Xut_automata.Selecting_nfa.ctx_qual nfa with
-        | Xut_xpath.Ast.Q_true ->
-          streamed (fun sink ->
-              count_sax_skips
-                (Sax_transform.run nfa update
-                   ~source:(fun h -> Xut_xml.Sax.parse_file path h)
-                   ~sink:(Xut_xml.Serialize.Sink.event sink)))
-        | _ ->
-          streamed (fun sink ->
-              let root = Xut_xml.Dom.parse_file path in
-              run_plan_stream ~metrics plan Engine.Gentop root sink)
+        Metrics.incr metrics Metrics.stream_fallbacks;
+        execute ~metrics r Engine.Gentop stream
       end
   end
+  | From_file path ->
+    let plan = compile ~cache ~metrics query in
+    let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
+    let file h = Xut_xml.Sax.parse_file path h in
+    if not (Sys.file_exists path) then error Eval_error "no such file %S" path
+    else if Sax_transform.one_pass nfa then fused nfa update file
+    else begin
+      Metrics.incr metrics Metrics.stream_fallbacks;
+      consume ~metrics stream (fun events ->
+          match Xut_automata.Selecting_nfa.ctx_qual nfa with
+          | Xut_xpath.Ast.Q_true ->
+            count_sax_skips ~metrics (Sax_transform.run nfa update ~source:file ~sink:events)
+          | _ ->
+            dispatch ~metrics nfa update Engine.Gentop (Xut_xml.Dom.parse_file path) events)
+    end
 
 let rec count_errors = function
   | Error _ -> 1
@@ -812,7 +716,7 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
      counted as [view_invalidations].  A plain COMMIT keeps composed
      plans: they depend on the definitions, not on document content. *)
   Doc_store.subscribe store (fun ev ->
-      if ev.Doc_store.schema_dropped then Metrics.incr_schema_bindings_dropped metrics;
+      if ev.Doc_store.schema_dropped then Metrics.incr metrics Metrics.schema_bindings_dropped;
       (* The schema captured at the swap (if the new tree still
          conforms): each repaired table's fresh-subtree annotation runs
          under the owning plan's skip-set, exactly as a from-scratch
@@ -827,7 +731,7 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
           | None -> None
           | Some schema ->
             let product, built = Product_memo.get products schema nfa in
-            if built then Metrics.incr_schema_products metrics;
+            if built then Metrics.incr metrics Metrics.schema_products;
             if Xut_schema.Schema.skip_count product = 0 then None
             else
               Some
@@ -843,13 +747,13 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
           Plan_cache.repair ~plan_skip cache ~old_root_id:ev.Doc_store.root_id
             ~spine:hint.Doc_store.spine hint.Doc_store.new_root
         in
-        Metrics.add_repairs metrics ~repaired:totals.Plan_cache.repaired
-          ~fallbacks:totals.Plan_cache.fallbacks
-          ~recomputed:totals.Plan_cache.recomputed_nodes
-          ~reused:totals.Plan_cache.reused_nodes;
-        Metrics.add_invalidations metrics totals.Plan_cache.fallbacks
+        Metrics.add metrics Metrics.annotation_repairs totals.Plan_cache.repaired;
+        Metrics.add metrics Metrics.repair_fallbacks totals.Plan_cache.fallbacks;
+        Metrics.add metrics Metrics.repair_recomputed_nodes totals.Plan_cache.recomputed_nodes;
+        Metrics.add metrics Metrics.repair_reused_nodes totals.Plan_cache.reused_nodes;
+        Metrics.add metrics Metrics.doc_invalidations totals.Plan_cache.fallbacks
       | None ->
-        Metrics.add_invalidations metrics
+        Metrics.add metrics Metrics.doc_invalidations
           (Plan_cache.invalidate cache ~root_id:ev.Doc_store.root_id));
       let view_churn = ref 0 in
       List.iter
@@ -878,34 +782,37 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
       | Doc_store.Unloaded | Doc_store.Replaced ->
         view_churn := !view_churn + Plan_cache.invalidate_composed cache ~dep:ev.Doc_store.name
       | Doc_store.Committed -> ());
-      Metrics.add_view_invalidations metrics !view_churn);
+      Metrics.add metrics Metrics.view_invalidations !view_churn);
   let handler job =
-    Metrics.incr_requests metrics;
+    Metrics.incr metrics Metrics.requests;
     let t0 = Unix.gettimeofday () in
     let resp =
-      match job with
-      | Plain_job req -> handle ~store ~cache ~views ~metrics ~depth:0 req
-      | Stream_job (req, sp) -> handle_streaming ~store ~cache ~metrics sp req
-      | Ingest_job { source; query; params } ->
-        handle_ingest ~store ~cache ~metrics params ~source ~query
+      guard (fun () ->
+          match job with
+          | Plain_job req -> handle ~store ~cache ~views ~metrics ~depth:0 req
+          | Stream_job { doc; engine; query; params } ->
+            read_doc ~store ~cache ~metrics ~doc ~engine ~query (`Stream params)
+          | Ingest_job { source; query; params } ->
+            ingest ~store ~cache ~metrics params ~source ~query)
     in
-    Metrics.record_latency metrics (Unix.gettimeofday () -. t0);
+    Metrics.observe metrics Metrics.latency
+      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
     for _ = 1 to count_errors resp do
-      Metrics.incr_errors metrics
+      Metrics.incr metrics Metrics.errors
     done;
     resp
   in
   let pool =
     Worker_pool.create
-      ~on_enqueue:(fun () -> Metrics.queue_enter metrics)
-      ~on_dequeue:(fun () -> Metrics.queue_leave metrics)
+      ~on_enqueue:(fun () -> Metrics.incr metrics Metrics.queue_depth)
+      ~on_dequeue:(fun () -> Metrics.decr metrics Metrics.queue_depth)
       ~domains ~queue_capacity handler
   in
   { store; cache; views; metrics; pool }
 
 (* The pool's own error channel ([('b, string) result]) only fires when
-   an exception escapes the handler — the handler catches everything it
-   expects, so this is the backstop mapping, plus the shut-down case. *)
+   an exception escapes the handler — [guard] catches everything, so
+   this is the backstop mapping, plus the shut-down case. *)
 type future =
   | Ready of response
   | Pending of (response, string) Stdlib.result Worker_pool.future
@@ -920,9 +827,7 @@ let submit t req = submit_job t (Plain_job req)
 
 let submit_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
   submit_job t
-    (Stream_job
-       ( Transform { target = Doc doc; engine; query },
-         { emit; chunk_size = max 1 chunk_size } ))
+    (Stream_job { doc; engine; query; params = { emit; chunk_size = max 1 chunk_size } })
 
 let submit_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
   submit_job t
@@ -947,6 +852,7 @@ let transform_stream t ~doc ~engine ~query ?chunk_size emit =
 
 let transform_ingest t ~source ~query ?chunk_size emit =
   await (submit_ingest t ~source ~query ?chunk_size emit)
+
 let metrics t = t.metrics
 let cache_stats t = Plan_cache.stats t.cache
 let store t = t.store

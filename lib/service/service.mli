@@ -172,7 +172,7 @@ val create :
     The service subscribes itself to the store's lifecycle events: an
     [UNLOAD], reload or [COMMIT] evicts exactly the departing tree's
     annotation tables from every cached plan and counts them in
-    {!Metrics.invalidations} ([doc_invalidations] in STATS).  The same
+    {!Metrics.doc_invalidations}.  The same
     event walks the view-dependency graph (view → base document, view →
     parent view): dependent views' annotation memos are repaired (commit
     with a usable spine diff) or evicted, an [UNLOAD]/reload also drops

@@ -66,7 +66,9 @@ let write_raw t conn s =
   Mutex.lock conn.wmu;
   (* counted before the bytes go out: a client that has read the reply
      must be able to rely on the counter already reflecting it *)
-  Metrics.frame_out (Service.metrics t.svc) (String.length s);
+  let m = Service.metrics t.svc in
+  Metrics.incr m Metrics.frames_out;
+  Metrics.add m Metrics.bytes_out (String.length s);
   let ok = write_all conn.fd s in
   Mutex.unlock conn.wmu;
   ok
@@ -104,51 +106,19 @@ let dispatch t conn ~version ~id req =
   let fut = Service.submit t.svc req in
   spawn_completion conn (fun () -> ignore (write_frame ~version t conn ~id (Service.await fut)))
 
-(* A streamed transform: STREAM_BEGIN goes out before the request is
-   queued (so it precedes every chunk), chunk frames are written from
-   the worker domain as the serializer sink fills, and the completion
-   thread finishes the exchange with STREAM_END or — if the engine
-   failed after chunks went out — STREAM_ERROR. *)
-let dispatch_stream t conn ~id (sr : Wire.Binary.stream_request) =
+(* A streamed reply (TRANSFORM over the stream path, or TRANSFORM-STREAM
+   ingest): STREAM_BEGIN goes out before the request is queued (so it
+   precedes every chunk), chunk frames are written from the worker
+   domain as the serializer sink fills, and the completion thread
+   finishes the exchange with STREAM_END or — if the engine failed after
+   chunks went out — STREAM_ERROR.  [submit emit] queues the job. *)
+let dispatch_stream t conn ~id submit =
   ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
   let emit chunk =
     if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
       failwith "client disconnected mid-stream"
   in
-  let fut =
-    Service.submit_stream t.svc ~doc:sr.Wire.Binary.doc ~engine:sr.Wire.Binary.engine
-      ~query:sr.Wire.Binary.query ~chunk_size:sr.Wire.Binary.chunk_size emit
-  in
-  spawn_completion conn (fun () ->
-      let final =
-        match Service.await fut with
-        | Service.Ok (Service.Stream_done { bytes; chunks }) ->
-          Wire.Binary.stream_end_frame ~id ~bytes ~chunks
-        | Service.Error { code; message } -> Wire.Binary.stream_error_frame ~id ~code message
-        | Service.Ok _ ->
-          Wire.Binary.stream_error_frame ~id ~code:Service.Eval_error
-            "stream produced a non-stream response"
-      in
-      ignore (write_raw t conn final))
-
-(* A streamed-ingest transform: same reply discipline as
-   [dispatch_stream], different request shape (source instead of
-   doc+engine). *)
-let dispatch_ingest t conn ~id (ir : Wire.Binary.ingest_request) =
-  ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
-  let emit chunk =
-    if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
-      failwith "client disconnected mid-stream"
-  in
-  let source =
-    match ir.Wire.Binary.source with
-    | Wire.Binary.Ingest_doc d -> Service.From_doc d
-    | Wire.Binary.Ingest_file p -> Service.From_file p
-  in
-  let fut =
-    Service.submit_ingest t.svc ~source ~query:ir.Wire.Binary.query
-      ~chunk_size:ir.Wire.Binary.chunk_size emit
-  in
+  let fut = submit emit in
   spawn_completion conn (fun () ->
       let final =
         match Service.await fut with
@@ -174,7 +144,7 @@ let serve_conn t conn =
       | Error msg ->
         (* bad magic / version / oversized: after this the byte stream
            can't be re-synchronized, so answer and drop the connection *)
-        Metrics.frame_malformed m;
+        Metrics.incr m Metrics.frames_malformed;
         ignore (write_frame t conn ~id:0L (error_response Service.Bad_request msg))
       | Ok { Wire.Binary.kind = Wire.Binary.Request; version; id; length } -> begin
         if version > conn.peer_version then conn.peer_version <- version;
@@ -182,30 +152,41 @@ let serve_conn t conn =
         match read_exact conn.fd payload 0 length with
         | Eof | Stalled ->
           (* disconnected or stalled mid-frame *)
-          Metrics.frame_malformed m
+          Metrics.incr m Metrics.frames_malformed
         | Complete -> begin
-          Metrics.frame_in m (Wire.Binary.header_size + length);
+          Metrics.incr m Metrics.frames_in;
+          Metrics.add m Metrics.bytes_in (Wire.Binary.header_size + length);
           match Wire.Binary.decode_incoming ~version (Bytes.unsafe_to_string payload) with
           | Error msg ->
             (* well-framed but undecodable: the framing is still in
                sync, so answer and keep serving this connection *)
-            Metrics.frame_malformed m;
+            Metrics.incr m Metrics.frames_malformed;
             ignore (write_frame ~version t conn ~id (error_response Service.Bad_request msg));
             loop ()
           | Ok (Wire.Binary.Plain req) ->
             dispatch t conn ~version ~id req;
             loop ()
           | Ok (Wire.Binary.Stream sr) ->
-            dispatch_stream t conn ~id sr;
+            dispatch_stream t conn ~id
+              (Service.submit_stream t.svc ~doc:sr.Wire.Binary.doc
+                 ~engine:sr.Wire.Binary.engine ~query:sr.Wire.Binary.query
+                 ~chunk_size:sr.Wire.Binary.chunk_size);
             loop ()
           | Ok (Wire.Binary.Ingest ir) ->
-            dispatch_ingest t conn ~id ir;
+            let source =
+              match ir.Wire.Binary.source with
+              | Wire.Binary.Ingest_doc d -> Service.From_doc d
+              | Wire.Binary.Ingest_file p -> Service.From_file p
+            in
+            dispatch_stream t conn ~id
+              (Service.submit_ingest t.svc ~source ~query:ir.Wire.Binary.query
+                 ~chunk_size:ir.Wire.Binary.chunk_size);
             loop ()
         end
       end
       | Ok { Wire.Binary.version; id; _ } ->
         (* Response or Stream_* from a client: never valid *)
-        Metrics.frame_malformed m;
+        Metrics.incr m Metrics.frames_malformed;
         ignore
           (write_frame ~version t conn ~id
              (error_response Service.Bad_request "clients must send request frames"))
@@ -222,7 +203,7 @@ let conn_main t key conn =
   done;
   Mutex.unlock conn.cmu;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Metrics.conn_closed (Service.metrics t.svc);
+  Metrics.decr (Service.metrics t.svc) Metrics.conns_active;
   Mutex.lock t.mu;
   Hashtbl.remove t.conns key;
   Hashtbl.remove t.threads key;
@@ -254,7 +235,7 @@ let accept_loop t =
           let active = Hashtbl.length t.conns in
           Mutex.unlock t.mu;
           if active >= t.cfg.max_connections then begin
-            Metrics.conn_rejected m;
+            Metrics.incr m Metrics.conns_rejected;
             ignore
               (write_all fd
                  (Wire.Binary.response_frame ~id:0L
@@ -263,7 +244,8 @@ let accept_loop t =
             try Unix.close fd with Unix.Unix_error _ -> ()
           end
           else begin
-            Metrics.conn_accepted m;
+            Metrics.incr m Metrics.conns_accepted;
+            Metrics.incr m Metrics.conns_active;
             Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout;
             Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.read_timeout;
             (try Unix.setsockopt fd Unix.TCP_NODELAY true
@@ -292,7 +274,7 @@ let accept_loop t =
                    (Wire.Binary.response_frame ~id:0L
                       (error_response Service.Overloaded "out of threads")));
               (try Unix.close fd with Unix.Unix_error _ -> ());
-              Metrics.conn_closed m);
+              Metrics.decr m Metrics.conns_active);
             Mutex.unlock t.mu
           end
         end

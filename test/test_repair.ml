@@ -280,11 +280,11 @@ let test_readers_race_repair () =
               | _ -> Alcotest.fail "reader failed")
             !readers;
           let m = Service.metrics svc in
-          Alcotest.(check int) "all commits effective" 12 (Metrics.commits m);
+          Alcotest.(check int) "all commits effective" 12 (Metrics.get m Metrics.commits);
           Alcotest.(check bool) "commits were served by repairs" true
-            (Metrics.annotation_repairs m > 0);
+            (Metrics.get m Metrics.annotation_repairs > 0);
           Alcotest.(check int) "no repair fell back to eviction" 0
-            (Metrics.repair_fallbacks m)))
+            (Metrics.get m Metrics.repair_fallbacks)))
 
 (* A root-replacing commit through the service must take the fallback
    path: the table is evicted (counted as an invalidation), reads keep
@@ -311,8 +311,8 @@ let test_service_fallback_on_root_swap () =
           | Service.Ok (Service.Committed _) -> ()
           | _ -> Alcotest.fail "commit failed");
           let m = Service.metrics svc in
-          Alcotest.(check int) "fallback counted" 1 (Metrics.repair_fallbacks m);
-          Alcotest.(check int) "no repair counted" 0 (Metrics.annotation_repairs m);
+          Alcotest.(check int) "fallback counted" 1 (Metrics.get m Metrics.repair_fallbacks);
+          Alcotest.(check int) "no repair counted" 0 (Metrics.get m Metrics.annotation_repairs);
           Alcotest.(check string) "reads see the swapped tree" "<root><m1><v>9</v></m1></root>"
             (read ())))
 

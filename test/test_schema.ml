@@ -200,7 +200,7 @@ let test_statically_empty_rejection () =
           | _ -> Alcotest.fail "TRANSFORM of a statically-empty query must be rejected");
           let m = Service.metrics svc in
           Alcotest.(check bool) "rejections counted" true
-            (Metrics.statically_empty_rejections m >= 2);
+            (Metrics.get m Metrics.statically_empty_rejections >= 2);
           (* the same query against a schemaless binding runs fine *)
           ignore (load svc "plain" path);
           match
@@ -232,10 +232,10 @@ let test_skip_metrics_and_answers () =
           Alcotest.(check int) "gentop agrees too" n_plain (count "d" Core.Engine.Gentop);
           let m = Service.metrics svc in
           Alcotest.(check bool) "subtrees were skipped" true
-            (Metrics.skipped_subtrees m > 0);
+            (Metrics.get m Metrics.skipped_subtrees > 0);
           Alcotest.(check bool) "skipped nodes counted via size table" true
-            (Metrics.skipped_nodes m > Metrics.skipped_subtrees m);
-          Alcotest.(check bool) "a product was built" true (Metrics.schema_products m > 0)))
+            (Metrics.get m Metrics.skipped_nodes > Metrics.get m Metrics.skipped_subtrees);
+          Alcotest.(check bool) "a product was built" true (Metrics.get m Metrics.schema_products > 0)))
 
 let test_view_chain_equivalence () =
   with_xmark_file (fun path ->
@@ -352,7 +352,7 @@ let test_commit_schema_drop () =
           commit "insert <xut_bench_promo>p</xut_bench_promo> into $a";
           Alcotest.(check bool) "conforming commit keeps the binding" true (bound () <> None);
           Alcotest.(check int) "no drop counted" 0
-            (Metrics.schema_bindings_dropped (Service.metrics svc));
+            (Metrics.get (Service.metrics svc) Metrics.schema_bindings_dropped);
           (* an element no schema rule permits: the commit itself
              succeeds, the binding goes away observably *)
           commit "insert <bogus>1</bogus> into $a/site";
@@ -360,13 +360,13 @@ let test_commit_schema_drop () =
             (bound () = None);
           Alcotest.(check (list string)) "flagged event fired once" [ "d" ] !drops;
           Alcotest.(check int) "drop counted" 1
-            (Metrics.schema_bindings_dropped (Service.metrics svc));
+            (Metrics.get (Service.metrics svc) Metrics.schema_bindings_dropped);
           (* once dropped there is nothing left to drop: further commits
              are schemaless and fire no more flags *)
           commit "delete $a//bogus";
           Alcotest.(check (list string)) "no second event" [ "d" ] !drops;
           Alcotest.(check int) "counter unchanged" 1
-            (Metrics.schema_bindings_dropped (Service.metrics svc))))
+            (Metrics.get (Service.metrics svc) Metrics.schema_bindings_dropped)))
 
 let suite =
   [ Alcotest.test_case "validate: generated XMark conforms" `Quick test_validate_generated;

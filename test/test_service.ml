@@ -251,32 +251,86 @@ let load_doc svc path =
   | Service.Ok _ -> Alcotest.fail "LOAD answered with the wrong payload"
   | Service.Error { message; _ } -> Alcotest.fail message
 
+(* A schema the test document conforms to: every test query lets the
+   NFA x schema product prune one whole arm (people or items). *)
+let site_schema_name = "service-test-site"
+
+let () =
+  let open Xut_schema.Schema in
+  match
+    define ~name:site_schema_name ~root:"site"
+      [ ("site", Seq [ Elem "people"; Elem "items" ]);
+        ("people", Star (Elem "person"));
+        ("person", Seq [ Elem "name"; Elem "age" ]);
+        ("items", Star (Elem "item"));
+        ("item", Seq [ Elem "name"; Elem "price" ]);
+        ("name", Empty);
+        ("age", Empty);
+        ("price", Empty) ]
+  with
+  | Ok s -> register s
+  | Error msg -> failwith msg
+
+(* Every engine x {TRANSFORM, COUNT, streamed TRANSFORM} equals the
+   engine's own run over a fresh parse, over the plain document and over
+   a schema-bound copy (pruned answers must equal unpruned ones). *)
 let test_service_matches_engine_run () =
   with_doc_file (fun path ->
-      with_service (fun svc ->
-          load_doc svc path;
-          List.iter
-            (fun engine ->
+      List.iter
+        (fun schema ->
+          with_service (fun svc ->
+              (match Service.call svc (Service.Load { name = "d"; file = path; schema }) with
+              | Service.Ok (Service.Doc_loaded { elements = 18; schema = s; _ }) when s = schema
+                -> ()
+              | _ -> Alcotest.fail "LOAD");
+              let label engine what =
+                Printf.sprintf "%s %s%s" (Core.Engine.name engine) what
+                  (if schema = None then "" else " (schema-bound)")
+              in
               List.iter
-                (fun q ->
-                  match Service.call svc (Service.Transform { target = Service.Doc "d"; engine; query = q }) with
-                  | Service.Ok (Service.Tree payload) ->
-                    Alcotest.(check string)
-                      (Core.Engine.name engine ^ " matches Engine.run")
-                      (reference_answer engine q) payload
-                  | Service.Ok _ -> Alcotest.fail "TRANSFORM must answer with a Tree"
-                  | Service.Error { message; _ } -> Alcotest.fail message)
-                queries)
-            [ Core.Engine.Td_bu; Core.Engine.Gentop; Core.Engine.Naive ];
-          match
-            Service.call svc
-              (Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices })
-          with
-          | Service.Ok (Service.Element_count n) ->
-            (* 18 elements minus the two deleted price elements *)
-            Alcotest.(check int) "COUNT reply" 16 n
-          | Service.Ok _ -> Alcotest.fail "COUNT must answer with an Element_count"
-          | Service.Error { message; _ } -> Alcotest.fail message))
+                (fun engine ->
+                  List.iter
+                    (fun q ->
+                      let expected = reference_answer engine q in
+                      let doc = Service.Doc "d" in
+                      (match Service.call svc (Service.Transform { target = doc; engine; query = q }) with
+                      | Service.Ok (Service.Tree payload) ->
+                        Alcotest.(check string) (label engine "TRANSFORM") expected payload
+                      | Service.Ok _ -> Alcotest.fail "TRANSFORM must answer with a Tree"
+                      | Service.Error { message; _ } -> Alcotest.fail message);
+                      (match Service.call svc (Service.Count { target = doc; engine; query = q }) with
+                      | Service.Ok (Service.Element_count n) ->
+                        Alcotest.(check int) (label engine "COUNT")
+                          (Xut_xml.Node.element_count
+                             (Xut_xml.Node.Element (Xut_xml.Dom.parse_string expected)))
+                          n
+                      | Service.Ok _ -> Alcotest.fail "COUNT must answer with an Element_count"
+                      | Service.Error { message; _ } -> Alcotest.fail message);
+                      let buf = Buffer.create 256 in
+                      match
+                        Service.transform_stream svc ~doc:"d" ~engine ~query:q ~chunk_size:16
+                          (Buffer.add_string buf)
+                      with
+                      | Service.Ok (Service.Stream_done _) ->
+                        Alcotest.(check string) (label engine "streamed") expected
+                          (Buffer.contents buf)
+                      | Service.Ok _ -> Alcotest.fail "expected Stream_done"
+                      | Service.Error { message; _ } -> Alcotest.fail message)
+                    queries)
+                Core.Engine.all;
+              if schema <> None then
+                Alcotest.(check bool) "the schema pruned subtrees" true
+                  (Metrics.get (Service.metrics svc) Metrics.skipped_subtrees > 0);
+              match
+                Service.call svc
+                  (Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices })
+              with
+              | Service.Ok (Service.Element_count n) ->
+                (* 18 elements minus the two deleted price elements *)
+                Alcotest.(check int) "COUNT reply" 16 n
+              | Service.Ok _ -> Alcotest.fail "COUNT must answer with an Element_count"
+              | Service.Error { message; _ } -> Alcotest.fail message))
+        [ None; Some site_schema_name ])
 
 let test_service_batch () =
   with_doc_file (fun path ->
@@ -293,7 +347,7 @@ let test_service_batch () =
               ]) -> ()
           | _ -> Alcotest.fail "batch must answer item-by-item, in order");
           (* a failing item inside a batch counts as an error *)
-          Alcotest.(check int) "batch errors counted" 1 (Metrics.errors (Service.metrics svc));
+          Alcotest.(check int) "batch errors counted" 1 (Metrics.get (Service.metrics svc) Metrics.errors);
           (* batches must not nest *)
           match Service.call svc (Service.Batch [ Service.Batch [ count ] ]) with
           | Service.Ok (Service.Batch_results
@@ -351,8 +405,8 @@ let test_service_concurrent_4_domains () =
               | Service.Error { message; _ } -> Alcotest.fail message)
             futures;
           let m = Service.metrics svc in
-          Alcotest.(check int) "no errors" 0 (Metrics.errors m);
-          Alcotest.(check bool) "cache hit on repeats" true (Metrics.cache_hits m >= 57)))
+          Alcotest.(check int) "no errors" 0 (Metrics.get m Metrics.errors);
+          Alcotest.(check bool) "cache hit on repeats" true (Metrics.get m Metrics.cache_hits >= 57)))
 
 let test_service_error_isolation () =
   with_doc_file (fun path ->
@@ -389,7 +443,7 @@ let test_service_error_isolation () =
               payload
           | Service.Ok _ -> Alcotest.fail "TRANSFORM must answer with a Tree"
           | Service.Error { message; _ } -> Alcotest.fail message);
-          Alcotest.(check int) "errors counted" 2 (Metrics.errors (Service.metrics svc))))
+          Alcotest.(check int) "errors counted" 2 (Metrics.get (Service.metrics svc) Metrics.errors)))
 
 let test_service_stats_and_unload () =
   with_doc_file (fun path ->
@@ -441,7 +495,7 @@ let test_service_lifecycle_invalidation () =
           Alcotest.(check int) "unload evicted exactly the doc's table" 0
             (Service.cache_stats svc).Plan_cache.annotation_entries;
           Alcotest.(check int) "invalidation counted in the metrics" 1
-            (Metrics.invalidations (Service.metrics svc));
+            (Metrics.get (Service.metrics svc) Metrics.doc_invalidations);
           Alcotest.(check int) "the compiled plan itself survived" 1
             (Service.cache_stats svc).Plan_cache.entries;
           (match Service.call svc Service.Stats with
@@ -476,7 +530,7 @@ let test_service_reload_replaces () =
           | Service.Ok _ -> Alcotest.fail "LOAD over a live name must report reloaded=true"
           | Service.Error { message; _ } -> Alcotest.fail message);
           Alcotest.(check int) "old tree's table invalidated" 1
-            (Metrics.invalidations (Service.metrics svc));
+            (Metrics.get (Service.metrics svc) Metrics.doc_invalidations);
           Alcotest.(check string) "reloaded content transforms byte-identically" before
             (transform ())))
 
@@ -551,11 +605,11 @@ let test_transform_stream () =
           (* counters: streams/chunks/bytes flowed into the metrics and
              surface in the STATS dump *)
           let m = Service.metrics svc in
-          Alcotest.(check int) "streams counted" (4 * List.length queries) (Metrics.streams m);
+          Alcotest.(check int) "streams counted" (4 * List.length queries) (Metrics.get m Metrics.streams);
           Alcotest.(check bool) "stream chunks counted" true
-            (Metrics.stream_chunks m >= Metrics.streams m);
+            (Metrics.get m Metrics.stream_chunks >= Metrics.get m Metrics.streams);
           Alcotest.(check bool) "stream bytes counted" true
-            (Metrics.stream_bytes m > Metrics.stream_chunks m);
+            (Metrics.get m Metrics.stream_bytes > Metrics.get m Metrics.stream_chunks);
           match Service.call svc Service.Stats with
           | Service.Ok (Service.Stats_dump dump) ->
             let has prefix =
@@ -601,11 +655,11 @@ let test_transform_ingest () =
                 (ingest (Service.From_file path) q))
             queries;
           let m = Service.metrics svc in
-          Alcotest.(check int) "fused runs counted" 4 (Metrics.streams_fused m);
-          Alcotest.(check int) "fallbacks counted" 2 (Metrics.stream_fallbacks m);
+          Alcotest.(check int) "fused runs counted" 4 (Metrics.get m Metrics.streams_fused);
+          Alcotest.(check int) "fallbacks counted" 2 (Metrics.get m Metrics.stream_fallbacks);
           (* every ingest is exactly one of fused/fallback *)
           Alcotest.(check int) "fused + fallback = ingests" (2 * List.length queries)
-            (Metrics.streams_fused m + Metrics.stream_fallbacks m);
+            (Metrics.get m Metrics.streams_fused + Metrics.get m Metrics.stream_fallbacks);
           (* error paths: no chunks may precede a typed rejection *)
           (match
              Service.transform_ingest svc ~source:(Service.From_doc "nope")
@@ -685,8 +739,8 @@ let test_bad_char_refs_typed () =
                 [ q_del_prices; q_del_adult_names ]))
         [ "&#99999999999999999999999;"; "&#x110000;"; "&#0;"; "&#xD800;" ];
       let m = Service.metrics svc in
-      Alcotest.(check int) "fused and two-pass tiers both ran" 4 (Metrics.streams_fused m);
-      Alcotest.(check int) "two-pass tier ran" 4 (Metrics.stream_fallbacks m);
+      Alcotest.(check int) "fused and two-pass tiers both ran" 4 (Metrics.get m Metrics.streams_fused);
+      Alcotest.(check int) "two-pass tier ran" 4 (Metrics.get m Metrics.stream_fallbacks);
       match Service.call svc (Service.Load { name = "bad"; file = "/nonexistent"; schema = None }) with
       | Service.Error { code = Service.Bad_request; _ } -> ()
       | _ -> Alcotest.fail "the worker must still answer")
@@ -743,21 +797,21 @@ let test_view_define_and_query () =
           let b2, dep2, _ = defview svc "v2" v2_def in
           Alcotest.(check bool) "v2: base v1, depth 2" true (b2 = "v1" && dep2 = 2);
           let m = Service.metrics svc in
-          Alcotest.(check int) "view_defs counted" 2 (Metrics.view_defs m);
+          Alcotest.(check int) "view_defs counted" 2 (Metrics.get m Metrics.view_defs);
           (* 2-deep chain, composed path, byte-identical to naive *)
           let base = Xut_xml.Dom.parse_string doc_xml in
           let expected = view_render (naive_view_value ~base [ v1_def; v2_def ] v2_query) in
           Alcotest.(check string) "composed = naive materialization" expected
             (transform_view svc "v2" v2_query);
-          Alcotest.(check int) "served by composition" 1 (Metrics.view_hits m);
-          Alcotest.(check int) "one composition performed" 1 (Metrics.composed_plans m);
+          Alcotest.(check int) "served by composition" 1 (Metrics.get m Metrics.view_hits);
+          Alcotest.(check int) "one composition performed" 1 (Metrics.get m Metrics.composed_plans);
           Alcotest.(check int) "no fallback for an in-fragment query" 0
-            (Metrics.compose_fallbacks m);
+            (Metrics.get m Metrics.compose_fallbacks);
           (* the composed plan is cached: a repeat is a hit, not a recompose *)
           Alcotest.(check string) "repeat answer identical" expected
             (transform_view svc "v2" v2_query);
-          Alcotest.(check int) "plan reused" 1 (Metrics.composed_plans m);
-          Alcotest.(check int) "second hit counted" 2 (Metrics.view_hits m);
+          Alcotest.(check int) "plan reused" 1 (Metrics.get m Metrics.composed_plans);
+          Alcotest.(check int) "second hit counted" 2 (Metrics.get m Metrics.view_hits);
           (* COUNT against the view agrees with the naive value *)
           let naive_count =
             List.fold_left
@@ -829,7 +883,7 @@ let test_view_definition_errors () =
           | Service.Error { code = Service.Query_parse_error; _ } -> ()
           | _ -> Alcotest.fail "expected a parse error");
           Alcotest.(check int) "rejected definitions not counted" 0
-            (Metrics.view_defs (Service.metrics svc));
+            (Metrics.get (Service.metrics svc) Metrics.view_defs);
           (* cycles: c1 late-binds to c2, then c2 over c1 closes the loop *)
           ignore
             (defview svc "c1"
@@ -889,14 +943,14 @@ let test_view_invalidation_graph () =
           Alcotest.(check int) "two composed plans cached" 2
             (Service.cache_stats svc).Plan_cache.composed_entries;
           let m = Service.metrics svc in
-          Alcotest.(check int) "no view churn yet" 0 (Metrics.view_invalidations m);
+          Alcotest.(check int) "no view churn yet" 0 (Metrics.get m Metrics.view_invalidations);
           (* COMMIT the base of the chain *)
           let commit_q = {|delete $a/site/items/item[name = "lamp"]|} in
           (match Service.call svc (Service.Commit { doc = "d"; query = commit_q }) with
           | Service.Ok (Service.Committed { primitives = 1; _ }) -> ()
           | _ -> Alcotest.fail "COMMIT d");
           Alcotest.(check bool) "commit churned the dependent views' memos" true
-            (Metrics.view_invalidations m > 0);
+            (Metrics.get m Metrics.view_invalidations > 0);
           Alcotest.(check int) "composed plans survive a plain commit" 2
             (Service.cache_stats svc).Plan_cache.composed_entries;
           (* the re-query reflects the new base, no restart, still composed *)
@@ -913,10 +967,10 @@ let test_view_invalidation_graph () =
           Alcotest.(check string) "v2 after commit = naive over new base" expected_after
             (transform_view svc "v2" v2_query);
           Alcotest.(check int) "served from the cached composition" 2
-            (Metrics.composed_plans m);
-          Alcotest.(check int) "never fell back" 0 (Metrics.compose_fallbacks m);
+            (Metrics.get m Metrics.composed_plans);
+          Alcotest.(check int) "never fell back" 0 (Metrics.get m Metrics.compose_fallbacks);
           (* redefining v1 evicts exactly the plans through v1 *)
-          let churn0 = Metrics.view_invalidations m in
+          let churn0 = Metrics.get m Metrics.view_invalidations in
           let _, _, redefined =
             defview svc "v1"
               {|transform copy $a := doc("d") modify do delete $a//age return $a|}
@@ -925,7 +979,7 @@ let test_view_invalidation_graph () =
           Alcotest.(check int) "only w's plan survives the redefinition" 1
             (Service.cache_stats svc).Plan_cache.composed_entries;
           Alcotest.(check bool) "redefinition churn counted" true
-            (Metrics.view_invalidations m > churn0);
+            (Metrics.get m Metrics.view_invalidations > churn0);
           (* and the chain recomposes against the new definition *)
           let v1_def' = {|transform copy $a := doc("d") modify do delete $a//age return $a|} in
           let expected_redef =
@@ -933,10 +987,10 @@ let test_view_invalidation_graph () =
           in
           Alcotest.(check string) "v2 after redefinition" expected_redef
             (transform_view svc "v2" v2_query);
-          Alcotest.(check int) "recomposed once" 3 (Metrics.composed_plans m);
+          Alcotest.(check int) "recomposed once" 3 (Metrics.get m Metrics.composed_plans);
           (* w was untouched throughout: still a cache hit *)
           Alcotest.(check string) "w unaffected" w_expected (transform_view svc "w" w_query);
-          Alcotest.(check int) "w's plan was never recomposed" 3 (Metrics.composed_plans m);
+          Alcotest.(check int) "w's plan was never recomposed" 3 (Metrics.get m Metrics.composed_plans);
           (* UNLOAD w's base drops w's plan, keeps v2's *)
           (match Service.call svc (Service.Unload { name = "e" }) with
           | Service.Ok (Service.Doc_unloaded _) -> ()
@@ -953,33 +1007,113 @@ let test_view_invalidation_graph () =
 
 let test_metrics_histogram () =
   let m = Metrics.create () in
+  let record m seconds = Metrics.observe m Metrics.latency (int_of_float (seconds *. 1e9)) in
+  let max_latency m = float_of_int (Metrics.maximum m Metrics.latency) *. 1e-9 in
   (* 90 fast requests, 10 slow ones *)
   for _ = 1 to 90 do
-    Metrics.record_latency m 0.001
+    record m 0.001
   done;
   for _ = 1 to 10 do
-    Metrics.record_latency m 0.1
+    record m 0.1
   done;
-  Alcotest.(check int) "count" 100 (Metrics.latency_count m);
-  let p50 = Metrics.quantile m 0.50 in
+  Alcotest.(check int) "count" 100 (Metrics.observations m Metrics.latency);
+  let p50 = Metrics.quantile m Metrics.latency 0.50 in
   Alcotest.(check bool) "p50 in the fast bucket" true (p50 > 0.0005 && p50 < 0.002);
-  let p95 = Metrics.quantile m 0.95 in
+  let p95 = Metrics.quantile m Metrics.latency 0.95 in
   Alcotest.(check bool) "p95 in the slow bucket" true (p95 > 0.05 && p95 < 0.2);
-  Alcotest.(check bool) "max is exact" true (abs_float (Metrics.max_latency m -. 0.1) < 1e-6);
+  Alcotest.(check bool) "max is exact" true (abs_float (max_latency m -. 0.1) < 1e-6);
   (* every sample sits low in its bucket (70 ms in [65.5, 131) ms, whose
      midpoint is 92.7 ms): the quantiles must still not pass the max *)
   let m' = Metrics.create () in
   for _ = 1 to 20 do
-    Metrics.record_latency m' 0.07
+    record m' 0.07
   done;
-  let p50 = Metrics.quantile m' 0.50 and p95 = Metrics.quantile m' 0.95 in
-  let mx = Metrics.max_latency m' in
+  let p50 = Metrics.quantile m' Metrics.latency 0.50
+  and p95 = Metrics.quantile m' Metrics.latency 0.95 in
+  let mx = max_latency m' in
   Alcotest.(check bool) "p50 <= p95 <= max" true (p50 <= p95 && p95 <= mx);
-  Metrics.queue_enter m;
-  Metrics.queue_enter m;
-  Metrics.queue_leave m;
-  Alcotest.(check int) "queue depth" 1 (Metrics.queue_depth m);
-  Alcotest.(check int) "high-water mark" 2 (Metrics.max_queue_depth m)
+  Metrics.incr m Metrics.queue_depth;
+  Metrics.incr m Metrics.queue_depth;
+  Metrics.decr m Metrics.queue_depth;
+  Alcotest.(check int) "queue depth" 1 (Metrics.get m Metrics.queue_depth);
+  Alcotest.(check int) "high-water mark" 2 (Metrics.peak m Metrics.queue_depth)
+
+(* The declaration is the single source: every key the dump prints is
+   described, in dump order; reset zeroes counters and histograms but
+   keeps gauges, lowering a gauge's peak to its level. *)
+let test_metrics_declaration () =
+  let m = Metrics.create () in
+  let dump_keys m =
+    String.split_on_char '\n' (Metrics.dump m)
+    |> List.map (fun l -> List.hd (String.split_on_char ' ' l))
+  in
+  Alcotest.(check (list string)) "describe = dump keys"
+    (dump_keys m) (List.map fst (Metrics.describe ()));
+  List.iter
+    (fun (k, doc) -> Alcotest.(check bool) (k ^ " has a doc") true (doc <> ""))
+    (Metrics.describe ());
+  Metrics.incr m Metrics.requests;
+  Metrics.incr m Metrics.queue_depth;
+  Metrics.incr m Metrics.queue_depth;
+  Metrics.decr m Metrics.queue_depth;
+  Metrics.incr m Metrics.conns_active;
+  Metrics.observe m Metrics.latency 5_000_000;
+  Metrics.observe m Metrics.pending_primitives 3;
+  Metrics.reset m;
+  Alcotest.(check int) "counter zeroed" 0 (Metrics.get m Metrics.requests);
+  Alcotest.(check int) "gauge kept" 1 (Metrics.get m Metrics.queue_depth);
+  Alcotest.(check int) "peak lowered to the level" 1 (Metrics.peak m Metrics.queue_depth);
+  Alcotest.(check int) "connection gauge kept" 1 (Metrics.get m Metrics.conns_active);
+  Alcotest.(check int) "latency histogram zeroed" 0 (Metrics.observations m Metrics.latency);
+  Alcotest.(check int) "latency max zeroed" 0 (Metrics.maximum m Metrics.latency);
+  Alcotest.(check int) "pending histogram zeroed" 0
+    (Metrics.observations m Metrics.pending_primitives)
+
+(* The STATS text is a wire contract (scripts and the serving benchmark
+   grep it): the ordered key sequence of a dump after one request of
+   each serving kind is pinned literally. *)
+let test_stats_key_sequence () =
+  with_doc_file (fun path ->
+      with_service (fun svc ->
+          load_doc svc path;
+          (match
+             Service.call svc
+               (Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices })
+           with
+          | Service.Ok (Service.Element_count _) -> ()
+          | _ -> Alcotest.fail "COUNT");
+          (match Service.call svc (Service.Commit { doc = "d"; query = "delete $a//age" }) with
+          | Service.Ok (Service.Committed _) -> ()
+          | _ -> Alcotest.fail "COMMIT");
+          (match
+             Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:q_del_prices ignore
+           with
+          | Service.Ok (Service.Stream_done _) -> ()
+          | _ -> Alcotest.fail "TRANSFORM-STREAM");
+          match Service.call svc Service.Stats with
+          | Service.Ok (Service.Stats_dump dump) ->
+            let keys =
+              String.split_on_char '\n' dump
+              |> List.map (fun l -> List.hd (String.split_on_char ' ' l))
+            in
+            Alcotest.(check (list string)) "STATS keys, in order"
+              [ "requests"; "errors"; "cache_hits"; "cache_misses"; "queue_depth";
+                "queue_depth_max"; "latency_count"; "latency_p50_ms"; "latency_p95_ms";
+                "latency_max_ms"; "conns_accepted"; "conns_active"; "conns_rejected";
+                "frames_in"; "frames_out"; "frames_malformed"; "bytes_in"; "bytes_out";
+                "streams"; "stream_chunks"; "stream_bytes"; "streams_fused";
+                "stream_fallbacks"; "schema_bindings_dropped"; "doc_invalidations";
+                "annotation_repairs"; "repair_fallbacks"; "repair_recomputed_nodes";
+                "repair_reused_nodes"; "view_defs"; "view_hits"; "composed_plans";
+                "view_invalidations"; "compose_fallbacks"; "skipped_subtrees";
+                "skipped_nodes"; "statically_empty_rejections"; "schema_products";
+                "commits"; "commit_conflicts"; "commit_noops"; "pending_primitives_count";
+                "pending_primitives_p50"; "pending_primitives_p95"; "pending_primitives_max";
+                "serialize_pool_hits"; "serialize_pool_misses"; "nfa_memo_hits";
+                "nfa_memo_misses"; "nfa_memo_hit_rate"; "sym_symbols"; "sym_interns";
+                "plan_cache"; "doc" ]
+              keys
+          | _ -> Alcotest.fail "STATS"))
 
 let suite =
   [
@@ -1014,6 +1148,9 @@ let suite =
     Alcotest.test_case "pool: parallel fan-out" `Quick test_pool_parallel_sum;
     Alcotest.test_case "pool: failure isolation" `Quick test_pool_failure_isolation;
     Alcotest.test_case "metrics: histogram and queue depth" `Quick test_metrics_histogram;
+    Alcotest.test_case "metrics: STATS key sequence" `Quick test_stats_key_sequence;
+    Alcotest.test_case "metrics: one declaration, reset keeps gauges" `Quick
+      test_metrics_declaration;
     Alcotest.test_case "views: define, query, list, undefine" `Quick test_view_define_and_query;
     Alcotest.test_case "views: definition-time rejection" `Quick test_view_definition_errors;
     Alcotest.test_case "views: dependency-graph invalidation" `Quick

@@ -419,11 +419,11 @@ let test_socket_matches_in_process () =
               | _ -> Alcotest.fail "COUNT over the socket");
               (* transport counters flowed into the service metrics *)
               let m = Service.metrics svc in
-              Alcotest.(check bool) "frames_in counted" true (Metrics.frames_in m >= 5);
-              Alcotest.(check bool) "frames_out counted" true (Metrics.frames_out m >= 5);
+              Alcotest.(check bool) "frames_in counted" true (Metrics.get m Metrics.frames_in >= 5);
+              Alcotest.(check bool) "frames_out counted" true (Metrics.get m Metrics.frames_out >= 5);
               Alcotest.(check bool) "bytes flow both ways" true
-                (Metrics.bytes_in m > 0 && Metrics.bytes_out m > 0);
-              Alcotest.(check int) "one connection accepted" 1 (Metrics.conns_accepted m);
+                (Metrics.get m Metrics.bytes_in > 0 && Metrics.get m Metrics.bytes_out > 0);
+              Alcotest.(check int) "one connection accepted" 1 (Metrics.get m Metrics.conns_accepted);
               match Service.call svc Service.Stats with
               | Service.Ok (Service.Stats_dump dump) ->
                 Alcotest.(check bool) "STATS surfaces transport counters" true
@@ -497,7 +497,7 @@ let test_malformed_frame () =
           | Service.Error { code = Service.Bad_request; _ } -> ()
           | _ -> Alcotest.fail "malformed frame must answer bad-request");
           Alcotest.(check bool) "malformed counter" true
-            (Metrics.frames_malformed (Service.metrics svc) >= 1);
+            (Metrics.get (Service.metrics svc) Metrics.frames_malformed >= 1);
           assert_still_serving sock doc))
 
 let test_oversized_frame () =
@@ -524,7 +524,7 @@ let test_oversized_frame () =
               (String.split_on_char ' ' message |> List.exists (fun w -> w = "oversized"))
           | _ -> Alcotest.fail "oversized frame must answer bad-request");
           Alcotest.(check bool) "malformed counter" true
-            (Metrics.frames_malformed (Service.metrics svc) >= 1);
+            (Metrics.get (Service.metrics svc) Metrics.frames_malformed >= 1);
           assert_still_serving sock doc))
 
 let test_truncated_frame () =
@@ -544,7 +544,7 @@ let test_truncated_frame () =
           Unix.close fd;
           (* mid-frame disconnect: the server counts it and carries on *)
           Alcotest.(check bool) "malformed counter incremented" true
-            (eventually (fun () -> Metrics.frames_malformed (Service.metrics svc) >= 1));
+            (eventually (fun () -> Metrics.get (Service.metrics svc) Metrics.frames_malformed >= 1));
           assert_still_serving sock doc))
 
 let test_bad_payload_keeps_connection () =
@@ -613,7 +613,7 @@ let test_bad_payload_keeps_connection () =
               | _ -> Alcotest.fail "connection must keep serving after a bad payload");
               Unix.close fd;
               Alcotest.(check bool) "malformed counter" true
-                (Metrics.frames_malformed (Service.metrics svc) >= 1))))
+                (Metrics.get (Service.metrics svc) Metrics.frames_malformed >= 1))))
 
 (* ---- error codes over the wire ---- *)
 
@@ -686,7 +686,7 @@ let test_busy_rejection () =
                 ());
               Client.close cli2;
               Alcotest.(check bool) "rejection counted" true
-                (eventually (fun () -> Metrics.conns_rejected (Service.metrics svc) = 1));
+                (eventually (fun () -> Metrics.get (Service.metrics svc) Metrics.conns_rejected = 1));
               (* the first connection is unaffected *)
               match
                 Client.call cli1
@@ -770,10 +770,10 @@ let test_stream_over_socket () =
               | _ -> Alcotest.fail "plain request after a stream");
               (* streaming counters flowed into the service metrics *)
               let m = Service.metrics svc in
-              Alcotest.(check int) "streams counted" (List.length queries) (Metrics.streams m);
+              Alcotest.(check int) "streams counted" (List.length queries) (Metrics.get m Metrics.streams);
               Alcotest.(check bool) "chunks counted" true
-                (Metrics.stream_chunks m > List.length queries);
-              Alcotest.(check bool) "bytes counted" true (Metrics.stream_bytes m > 0))))
+                (Metrics.get m Metrics.stream_chunks > List.length queries);
+              Alcotest.(check bool) "bytes counted" true (Metrics.get m Metrics.stream_bytes > 0))))
 
 let test_stream_unknown_document () =
   with_server (fun _svc sock ->
@@ -1003,9 +1003,9 @@ let test_commit_over_socket () =
               | _ -> Alcotest.fail "conflict must reach the client as the conflict code");
               Alcotest.(check int) "the rejected commit pushed nothing" 1 (List.length !notices);
               Alcotest.(check int) "metrics: one effective commit" 1
-                (Metrics.commits (Service.metrics svc));
+                (Metrics.get (Service.metrics svc) Metrics.commits);
               Alcotest.(check int) "metrics: one conflict" 1
-                (Metrics.commit_conflicts (Service.metrics svc)))))
+                (Metrics.get (Service.metrics svc) Metrics.commit_conflicts))))
 
 (* Mid-stream failure as the CLIENT sees it: a hand-rolled server sends
    BEGIN, two chunks, then a STREAM_ERROR (a real engine failing after
@@ -1165,8 +1165,8 @@ let test_views_over_socket () =
                 Alcotest.(check string) "v2 listed" "v2" b.Service.v_name
               | _ -> Alcotest.fail "LISTVIEWS over the socket");
               let m = Service.metrics svc in
-              Alcotest.(check bool) "served composed" true (Metrics.view_hits m > 0);
-              Alcotest.(check int) "no fallback" 0 (Metrics.compose_fallbacks m);
+              Alcotest.(check bool) "served composed" true (Metrics.get m Metrics.view_hits > 0);
+              Alcotest.(check int) "no fallback" 0 (Metrics.get m Metrics.compose_fallbacks);
               match Client.call cli (Service.Undefview { name = "v2" }) with
               | Service.Ok (Service.View_undefined { name = "v2" }) -> ()
               | _ -> Alcotest.fail "UNDEFVIEW over the socket")))
@@ -1279,9 +1279,9 @@ let test_ingest_over_socket () =
                 queries;
               let m = Service.metrics svc in
               Alcotest.(check int) "qualifier-free shapes ran fused" 4
-                (Metrics.streams_fused m);
+                (Metrics.get m Metrics.streams_fused);
               Alcotest.(check int) "qualifier shapes fell back, counted" 2
-                (Metrics.stream_fallbacks m);
+                (Metrics.get m Metrics.stream_fallbacks);
               (* unknown document: typed error, no chunks *)
               (match
                  Client.transform_ingest cli ~source:(Wire.Binary.Ingest_doc "nope")
@@ -1420,7 +1420,7 @@ let test_schema_drop_notice () =
                      (List.length l)
                      (String.concat "; " (List.map Wire.Binary.render_notice l))));
               Alcotest.(check int) "metrics count the drop" 1
-                (Metrics.schema_bindings_dropped (Service.metrics svc));
+                (Metrics.get (Service.metrics svc) Metrics.schema_bindings_dropped);
               match Doc_store.info (Service.store svc) "d" with
               | Some { Doc_store.schema = None; _ } -> ()
               | _ -> Alcotest.fail "the binding must have lost its schema")))

@@ -260,7 +260,7 @@ let test_apply_dry_run () =
           | _ -> Alcotest.fail "unexpected apply reply");
           Alcotest.(check int) "generation untouched" g0 (generation svc);
           Alcotest.(check string) "document untouched" before (tree_of svc identity_query);
-          Alcotest.(check int) "no commit counted" 0 (Metrics.commits (Service.metrics svc))))
+          Alcotest.(check int) "no commit counted" 0 (Metrics.get (Service.metrics svc) Metrics.commits)))
 
 let test_commit_swaps () =
   with_doc_file (fun path ->
@@ -294,9 +294,9 @@ let test_commit_swaps () =
           Alcotest.(check string) "reads now see the new snapshot" expected
             (tree_of svc identity_query);
           let m = Service.metrics svc in
-          Alcotest.(check int) "one commit counted" 1 (Metrics.commits m);
-          Alcotest.(check int) "pending histogram recorded it" 1 (Metrics.pending_count m);
-          Alcotest.(check int) "pending max" 2 (Metrics.pending_max m)))
+          Alcotest.(check int) "one commit counted" 1 (Metrics.get m Metrics.commits);
+          Alcotest.(check int) "pending histogram recorded it" 1 (Metrics.observations m Metrics.pending_primitives);
+          Alcotest.(check int) "pending max" 2 (Metrics.maximum m Metrics.pending_primitives)))
 
 let test_commit_conflict_rejected () =
   with_doc_file (fun path ->
@@ -316,8 +316,8 @@ let test_commit_conflict_rejected () =
           Alcotest.(check int) "no event fired" 0 !events;
           Alcotest.(check string) "document untouched" before (tree_of svc identity_query);
           let m = Service.metrics svc in
-          Alcotest.(check int) "conflict counted" 1 (Metrics.commit_conflicts m);
-          Alcotest.(check int) "no commit counted" 0 (Metrics.commits m)))
+          Alcotest.(check int) "conflict counted" 1 (Metrics.get m Metrics.commit_conflicts);
+          Alcotest.(check int) "no commit counted" 0 (Metrics.get m Metrics.commits)))
 
 let test_commit_noop () =
   with_doc_file (fun path ->
@@ -332,8 +332,8 @@ let test_commit_noop () =
           | _ -> Alcotest.fail "unexpected noop reply");
           Alcotest.(check int) "no event" 0 !events;
           let m = Service.metrics svc in
-          Alcotest.(check int) "noop counted" 1 (Metrics.commit_noops m);
-          Alcotest.(check int) "not an effective commit" 0 (Metrics.commits m)))
+          Alcotest.(check int) "noop counted" 1 (Metrics.get m Metrics.commit_noops);
+          Alcotest.(check int) "not an effective commit" 0 (Metrics.get m Metrics.commits)))
 
 let test_snapshot_isolation () =
   with_doc_file (fun path ->
@@ -404,7 +404,7 @@ let test_interleaved_readers () =
               | _ -> Alcotest.fail "reader failed")
             !readers;
           Alcotest.(check int) "all commits effective" 12
-            (Metrics.commits (Service.metrics svc))))
+            (Metrics.get (Service.metrics svc) Metrics.commits)))
 
 (* COMMIT then an identity TRANSFORM is byte-identical to the original
    TRANSFORM of the same update — the materialized write agrees with the
