@@ -96,7 +96,7 @@ module Line = struct
             (LOAD|UNLOAD|TRANSFORM|TRANSFORM-STREAM|COUNT|APPLY|COMMIT|DEFVIEW|UNDEFVIEW|LISTVIEWS|STATS)"
            v)
 
-  type ingest = { source : [ `Doc of string | `File of string ]; query : string }
+  type ingest = { source : Service.stream_source; query : string }
   type incoming = Plain of Service.request | Stream_ingest of ingest
 
   (* TRANSFORM-STREAM [DOC] <name> <query> — streamed ingest of a stored
@@ -115,14 +115,14 @@ module Line = struct
         match name with
         | "FILE" -> (
           match split2 rest' with
-          | path, rest'' when path <> "" -> (Some (`File path), rest'')
+          | path, rest'' when path <> "" -> (Some (Service.From_file path), rest'')
           | _ -> (None, rest'))
         | "DOC" -> (
           match split2 rest' with
-          | dname, rest'' when dname <> "" -> (Some (`Doc dname), rest'')
+          | dname, rest'' when dname <> "" -> (Some (Service.From_doc dname), rest'')
           | _ -> (None, rest'))
         | "" -> (None, rest')
-        | name -> (Some (`Doc name), rest')
+        | name -> (Some (Service.From_doc name), rest')
       in
       match source with
       | Some source when rest' <> "" -> Ok (Stream_ingest { source; query = rest' })
@@ -276,6 +276,10 @@ module Binary = struct
   let put_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
   let put_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
 
+  (* Stream totals are byte counts of a whole streamed document, which
+     can pass 2^31; they travel as u64. *)
+  let put_u64 b n = Buffer.add_int64_be b (Int64.of_int n)
+
   let put_str b s =
     put_u32 b (String.length s);
     Buffer.add_string b s
@@ -396,8 +400,8 @@ module Binary = struct
       List.iter (put_response b) rs
     | Service.Ok (Service.Stream_done { bytes; chunks }) ->
       put_u8 b 8;
-      put_u32 b bytes;
-      put_u32 b chunks
+      put_u64 b bytes;
+      put_u64 b chunks
     | Service.Ok (Service.Applied { doc; primitives; collapsed; conflicts }) ->
       put_u8 b 9;
       put_str b doc;
@@ -465,6 +469,14 @@ module Binary = struct
     c.pos <- c.pos + 4;
     if v < 0 then raise (Malformed "negative length");
     v
+
+  let get_u64 c =
+    need c 8;
+    let v = String.get_int64_be c.s c.pos in
+    c.pos <- c.pos + 8;
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+      raise (Malformed "length out of range");
+    Int64.to_int v
 
   let get_str c =
     let n = get_u32 c in
@@ -553,8 +565,8 @@ module Binary = struct
       let n = get_count c in
       Service.Ok (Service.Batch_results (List.init n (fun _ -> get_response c)))
     | 8 ->
-      let bytes = get_u32 c in
-      let chunks = get_u32 c in
+      let bytes = get_u64 c in
+      let chunks = get_u64 c in
       Service.Ok (Service.Stream_done { bytes; chunks })
     | 9 ->
       let doc = get_str c in
@@ -824,16 +836,16 @@ module Binary = struct
   let stream_chunk_frame ~id chunk = frame ~kind:Stream_chunk ~id chunk
 
   let stream_end_frame ~id ~bytes ~chunks =
-    let b = Buffer.create 8 in
-    put_u32 b bytes;
-    put_u32 b chunks;
+    let b = Buffer.create 16 in
+    put_u64 b bytes;
+    put_u64 b chunks;
     frame ~kind:Stream_end ~id (Buffer.contents b)
 
   let decode_stream_end s =
     decode_with
       (fun c ->
-        let bytes = get_u32 c in
-        let chunks = get_u32 c in
+        let bytes = get_u64 c in
+        let chunks = get_u64 c in
         (bytes, chunks))
       s
 

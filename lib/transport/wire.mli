@@ -41,7 +41,7 @@ module Line : sig
       DEFVIEW's [:=] is optional on input and always printed on
       output. *)
 
-  type ingest = { source : [ `Doc of string | `File of string ]; query : string }
+  type ingest = { source : Service.stream_source; query : string }
   (** A streamed-ingest request of the line protocol:
       [TRANSFORM-STREAM [DOC] <name> <query>] transforms a stored
       document, [TRANSFORM-STREAM FILE <path> <query>] a (server-side)
@@ -223,7 +223,9 @@ module Binary : sig
   val stream_error_frame : id:int64 -> code:Service.err_code -> string -> string
 
   val decode_stream_end : string -> (int * int, string) result
-  (** [(bytes, chunks)] totals out of a [Stream_end] payload. *)
+  (** [(bytes, chunks)] totals out of a [Stream_end] payload.  Both
+      totals travel as u64 (as in the [Stream_done] response), so a
+      stream past 2 GiB still ends cleanly. *)
 
   val decode_stream_error : string -> (Service.err_code * string, string) result
 end

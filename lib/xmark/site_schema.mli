@@ -8,10 +8,11 @@ val schema_name : string
 (** ["xmark"]. *)
 
 val bench_schema_name : string
-(** ["xmark-bench"]: {!schema} widened so the [bench-serve] marker
-    element ({!bench_marker}) is allowed under every [--write-depth]
-    insertion target — the variant the schema-enabled write benches
-    load, keeping pruning alive across marker commits. *)
+(** ["xmark-bench"]: {!schema} widened so the marker element
+    ({!bench_marker}) is allowed under every spine insertion target
+    (document element down to [description]) — the variant the
+    schema-bound marker-commit workloads load (servebench commit-mix,
+    the repair tests), keeping pruning alive across marker commits. *)
 
 val bench_marker : string
 (** ["xut_bench_promo"]. *)

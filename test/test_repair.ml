@@ -286,6 +286,82 @@ let test_readers_race_repair () =
           Alcotest.(check int) "no repair fell back to eviction" 0
             (Metrics.get m Metrics.repair_fallbacks)))
 
+(* Marker commits over an XMark document with TD-BU reads in flight, at
+   two spine depths, on a plain document and one bound to the marker-
+   permitting XMark schema.  Commits alternate an insert of the marker
+   element [depth] steps down the open_auctions spine with a delete of
+   every marker, so every commit is effective.  The steady state must be
+   served by in-place repair (no eviction fallback), schema pruning must
+   stay alive across commits, the store generation must advance once per
+   counted commit, and the memoized tables must stay within the per-plan
+   LRU bound (tables for departed roots stay addressable for in-flight
+   readers until the LRU ages them out). *)
+let marker_read_query =
+  {|transform copy $a := doc("d") modify do delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness < 20]/description//text return $a|}
+
+let marker_spine = [| "site"; "open_auctions"; "open_auction" |]
+
+let test_marker_commits_under_reads ~depth ~schema () =
+  Xut_xmark.Site_schema.register ();
+  let path = Filename.temp_file "xut_repair_test" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.001 path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service ~domains:2 (fun svc ->
+          (match Service.call svc (Service.Load { name = "d"; file = path; schema }) with
+          | Service.Ok (Service.Doc_loaded _) -> ()
+          | _ -> Alcotest.fail "load failed");
+          let generation () =
+            match Doc_store.info (Service.store svc) "d" with
+            | Some i -> i.Doc_store.generation
+            | None -> Alcotest.fail "document vanished"
+          in
+          let gen0 = generation () in
+          let target =
+            String.concat "/" ("$a" :: Array.to_list (Array.sub marker_spine 0 depth))
+          in
+          let marker = Xut_xmark.Site_schema.bench_marker in
+          let readers = ref [] in
+          for k = 1 to 10 do
+            for _ = 1 to 2 do
+              readers :=
+                Service.submit svc
+                  (Service.Count
+                     { target = Service.Doc "d"; engine = Core.Engine.Td_bu;
+                       query = marker_read_query })
+                :: !readers
+            done;
+            let q =
+              if k land 1 = 1 then Printf.sprintf "insert <%s>p</%s> into %s" marker marker target
+              else Printf.sprintf "delete $a//%s" marker
+            in
+            match Service.call svc (Service.Commit { doc = "d"; query = q }) with
+            | Service.Ok (Service.Committed _) -> ()
+            | _ -> Alcotest.fail ("commit failed: " ^ q)
+          done;
+          List.iter
+            (fun fut ->
+              match Service.await fut with
+              | Service.Ok (Service.Element_count _) -> ()
+              | _ -> Alcotest.fail "reader failed")
+            !readers;
+          let m = Service.metrics svc in
+          let commits = Metrics.get m Metrics.commits in
+          Alcotest.(check int) "every commit effective" 10 commits;
+          Alcotest.(check int) "generation advanced once per commit" commits
+            (generation () - gen0);
+          Alcotest.(check bool) "commits were served by repairs" true
+            (Metrics.get m Metrics.annotation_repairs > 0);
+          Alcotest.(check int) "no repair fell back to eviction" 0
+            (Metrics.get m Metrics.repair_fallbacks);
+          if schema <> None then
+            Alcotest.(check bool) "schema pruning survived the commits" true
+              (Metrics.get m Metrics.skipped_subtrees > 0);
+          Alcotest.(check bool) "annotation tables within the per-plan LRU bound" true
+            ((Service.cache_stats svc).Plan_cache.annotation_entries
+            <= Plan_cache.max_annotated_docs)))
+
 (* A root-replacing commit through the service must take the fallback
    path: the table is evicted (counted as an invalidation), reads keep
    answering correctly against a fresh annotation. *)
@@ -326,6 +402,18 @@ let suite =
     Alcotest.test_case "plan-cache repair keeps old table addressable" `Quick
       test_plan_cache_repair_keeps_old_table;
     Alcotest.test_case "readers race commit+repair" `Quick test_readers_race_repair;
+  ]
+  @ List.concat_map
+      (fun depth ->
+        List.map
+          (fun (label, schema) ->
+            Alcotest.test_case
+              (Printf.sprintf "marker commits under reads, depth %d, %s" depth label)
+              `Quick
+              (test_marker_commits_under_reads ~depth ~schema))
+          [ ("plain", None); ("schema", Some Xut_xmark.Site_schema.bench_schema_name) ])
+      [ 0; 3 ]
+  @ [
     Alcotest.test_case "service fallback on root replacement" `Quick
       test_service_fallback_on_root_swap;
   ]

@@ -290,9 +290,9 @@ let gen_simple_response =
         map (fun s -> Service.Ok (Service.Tree s)) gen_text;
         map (fun n -> Service.Ok (Service.Element_count n)) small_nat;
         map (fun s -> Service.Ok (Service.Stats_dump s)) gen_text;
-        map2
-          (fun bytes chunks -> Service.Ok (Service.Stream_done { bytes; chunks }))
-          small_nat small_nat;
+        (* stream totals are u64 on the wire: draw past 2^31 too *)
+        (let total = oneof [ small_nat; map (fun n -> n land max_int) int ] in
+         map2 (fun bytes chunks -> Service.Ok (Service.Stream_done { bytes; chunks })) total total);
         map3
           (fun doc (primitives, collapsed) conflicts ->
             Service.Ok (Service.Applied { doc; primitives; collapsed; conflicts }))
@@ -708,6 +708,19 @@ let test_stream_frame_codecs () =
    with
   | Ok (123456, 7) -> ()
   | _ -> Alcotest.fail "stream-end totals round trip");
+  (* totals past 2^31 (a multi-GiB TRANSFORM-STREAM) must not wrap *)
+  let big = 5_000_000_000 in
+  (let f = Wire.Binary.stream_end_frame ~id:5L ~bytes:big ~chunks:big in
+   match
+     Wire.Binary.decode_stream_end
+       (String.sub f Wire.Binary.header_size (String.length f - Wire.Binary.header_size))
+   with
+   | Ok (b, c) when b = big && c = big -> ()
+   | _ -> Alcotest.fail "stream-end totals past 2^31 round trip");
+  (let done_ = Service.Ok (Service.Stream_done { bytes = big; chunks = big }) in
+   match Wire.Binary.decode_response (Wire.Binary.encode_response done_) with
+   | Ok r when r = done_ -> ()
+   | _ -> Alcotest.fail "Stream_done past 2^31 round trip");
   (match
      (let f = Wire.Binary.stream_error_frame ~id:5L ~code:Service.Eval_error "boom > mid" in
       Wire.Binary.decode_stream_error
@@ -1177,13 +1190,13 @@ let test_ingest_codec () =
   (* line syntax: bare name and DOC-keyword forms address the store,
      FILE addresses a server-side path *)
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM d transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `Doc "d"; query = "transform q" }) -> ()
+  | Ok (Wire.Line.Stream_ingest { source = Service.From_doc "d"; query = "transform q" }) -> ()
   | _ -> Alcotest.fail "bare-name ingest parse");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM DOC FILE transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `Doc "FILE"; query = _ }) -> ()
+  | Ok (Wire.Line.Stream_ingest { source = Service.From_doc "FILE"; query = _ }) -> ()
   | _ -> Alcotest.fail "DOC keyword keeps \"FILE\" addressable as a name");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM FILE /tmp/x.xml transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `File "/tmp/x.xml"; query = _ }) -> ()
+  | Ok (Wire.Line.Stream_ingest { source = Service.From_file "/tmp/x.xml"; query = _ }) -> ()
   | _ -> Alcotest.fail "FILE ingest parse");
   (match Wire.Line.decode_incoming "STATS" with
   | Ok (Wire.Line.Plain Service.Stats) -> ()
